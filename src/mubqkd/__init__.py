@@ -16,6 +16,7 @@ from .phasespace import (CvLabel, CvLine, DiscreteWigner, LineIntersection,
                          line_of_label)
 from .protocol import (EveStrategy, RoundRecord, SessionConfig, Transcript,
                        alice_encode, bob_decode, eavesdropper_detected,
-                       run_cv_round, run_round, run_session, summarize)
+                       run_cv_round, run_round, run_round_dense, run_session,
+                       summarize)
 
 __version__ = "0.1.0"

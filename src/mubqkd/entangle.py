@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import FieldSpec, GfElem
+from .gf import FieldSpec, GfElem, index_tables
 from .hilbert import apply_diag_phase, sample_index
-from .mub import BasisId, MubLabel, _index_tables, basis_matrix, mub_state
+from .mub import BasisId, MubLabel, basis_matrix, mub_state
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def shift_remote(state: np.ndarray, lam: GfElem) -> np.ndarray:
     the field.
     """
     spec = lam.field
-    _, mul, tr = _index_tables(spec)
+    _, mul, tr = index_tables(spec)
     expo = tr[mul[lam.index]]
     phases = np.exp(2j * np.pi * expo / spec.p)
     return apply_diag_phase(state, phases)

@@ -3,13 +3,19 @@
 Elements are fixed-length coefficient tuples over GF(p), low-order first,
 reduced modulo a monic irreducible polynomial of degree n.  The integer
 index of an element, sum(coeffs[i] * p**i), fixes the canonical ordering
-used everywhere for basis construction and transcript output.
+used everywhere for basis construction and transcript output.  Hot paths
+work on these indices directly: addition is digit-wise mod p, so it needs
+no table, and index_tables holds the add, mul and trace tables for the
+code that does need multiplication.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 
 def is_prime(m: int) -> bool:
@@ -221,3 +227,54 @@ class GfElem:
 
     def __repr__(self) -> str:
         return f"GfElem({list(self.coeffs)} in GF({self.field.p}^{self.field.n}))"
+
+
+# ---------------------------------------------------------------------------
+# Arithmetic on canonical element indices.
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def index_tables(spec: FieldSpec):
+    """Read-only (add, mul, trace) tables over canonical element indices."""
+    elems = spec.elements()
+    d = spec.d
+    add = np.empty((d, d), dtype=np.int64)
+    mul = np.empty((d, d), dtype=np.int64)
+    for i, a in enumerate(elems):
+        for j in range(i, d):
+            b = elems[j]
+            add[i, j] = add[j, i] = (a + b).index
+            mul[i, j] = mul[j, i] = (a * b).index
+    tr = np.array([a.trace() for a in elems], dtype=np.int64)
+    for t in (add, mul, tr):
+        t.setflags(write=False)
+    return add, mul, tr
+
+
+def _digitwise(spec: FieldSpec, a: int, b: int, sign: int) -> int:
+    """Index whose base-p digits are those of a plus sign times those of b, mod p."""
+    p = spec.p
+    if spec.n == 1:
+        return (a + sign * b) % p
+    out, scale = 0, 1
+    while a or b:
+        a, da = divmod(a, p)
+        b, db = divmod(b, p)
+        out += (da + sign * db) % p * scale
+        scale *= p
+    return out
+
+
+def index_add(spec: FieldSpec, a: int, b: int) -> int:
+    """Index of from_index(a) + from_index(b)."""
+    return _digitwise(spec, a, b, 1)
+
+
+def index_sub(spec: FieldSpec, a: int, b: int) -> int:
+    """Index of from_index(a) - from_index(b)."""
+    return _digitwise(spec, a, b, -1)
+
+
+def index_neg(spec: FieldSpec, a: int) -> int:
+    """Index of -from_index(a)."""
+    return _digitwise(spec, 0, a, -1)

@@ -4,7 +4,8 @@ For each field element b there is a quadratic-phase basis whose state c
 carries amplitude omega^tr(b*n^2 + c*n) / sqrt(d) at position index(n),
 with omega = exp(2*pi*i/p).  The computational basis completes the set
 to the maximal count of d+1.  Basis matrices are cached per (field,
-basis id) because the protocol engine requests them in a hot loop.
+basis id) because the dense reference round and verify request them in
+hot loops.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import FieldSpec, GfElem
+from .gf import FieldSpec, GfElem, index_tables
 
 
 @dataclass(frozen=True)
@@ -56,24 +57,6 @@ def basis_from_index(spec: FieldSpec, k: int) -> BasisId:
     return BasisId(spec.from_index(k))
 
 
-@lru_cache(maxsize=None)
-def _index_tables(spec: FieldSpec):
-    """(add, mul, trace) tables over canonical element indices."""
-    elems = spec.elements()
-    d = spec.d
-    add = np.empty((d, d), dtype=np.int64)
-    mul = np.empty((d, d), dtype=np.int64)
-    for i, a in enumerate(elems):
-        for j in range(i, d):
-            b = elems[j]
-            add[i, j] = add[j, i] = (a + b).index
-            mul[i, j] = mul[j, i] = (a * b).index
-    tr = np.array([a.trace() for a in elems], dtype=np.int64)
-    for t in (add, mul, tr):
-        t.setflags(write=False)
-    return add, mul, tr
-
-
 def _check_basis(spec: FieldSpec, basis: BasisId):
     if basis.b is not None and basis.b.field != spec:
         raise ValueError("basis id belongs to a different field spec")
@@ -87,7 +70,7 @@ def basis_matrix(spec: FieldSpec, basis: BasisId) -> np.ndarray:
     if basis.is_computational:
         mat = np.eye(d, dtype=complex)
     else:
-        add, mul, tr = _index_tables(spec)
+        add, mul, tr = index_tables(spec)
         sq = mul.diagonal()
         bn2 = mul[basis.b.index, sq]            # index(b * n^2) for each n
         expo = tr[add[bn2[None, :], mul]]       # row c, column n: tr(b*n^2 + c*n)

@@ -16,19 +16,29 @@ eavesdropper cannot condition on it:
 
 Sessions are deterministic functions of their seed; transcripts persist
 as JSON Lines plus a single summary document.
+
+run_round plays a round on MUB labels alone: every state is a pair
+(basis index, c index), basis index d being the computational basis, and
+the outcome of measuring one in a basis is certain in its own basis and
+uniform in any other (the bases are mutually unbiased).  run_round_dense
+plays the same round on dense state vectors.  Both draw the same variates
+in the same order, so they write the same records; the dense round is the
+physics reference that the label round is tested against.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
-from .entangle import EntangledPair, PairLabel, entangled_mub, measure_first, shift_remote
-from .gf import FieldSpec, GfElem
+from .entangle import PairLabel, entangled_mub, measure_first, shift_remote
+from .gf import FieldSpec, GfElem, index_add, index_sub
 from .hilbert import born_sample, inner, swap_test
-from .mub import BasisId, basis_from_index, basis_index, basis_matrix
+from .mub import BasisId, basis_from_index, basis_matrix
 from .phasespace import CvLabel, cv_equal_delta, cv_shift, cv_split
 
 ORACLE_MATCH_TOL = 1e-9
@@ -36,6 +46,40 @@ ORACLE_MATCH_TOL = 1e-9
 _EVE_KINDS = ("none", "intercept_resend")
 _EVE_PICKERS = ("fixed", "uniform_quadratic", "uniform_all")
 _MODES = ("oracle", "swap")
+
+_REQUIRED = object()
+_JSON_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
+                    str: "a string", list: "an array", dict: "an object"}
+
+
+def _json_check(value, kind: type, path: str):
+    """value itself if it has the JSON type that kind stands for (float:
+    any number), else ValueError naming path."""
+    ok = (isinstance(value, (int, float)) if kind is float else isinstance(value, kind))
+    if not ok or isinstance(value, bool):
+        got = _JSON_TYPE_NAMES.get(type(value), "null" if value is None else type(value).__name__)
+        raise ValueError(f"{path}: expected {_JSON_TYPE_NAMES[kind]}, got {got}")
+    return value
+
+
+def _json_get(doc: dict, key: str, kind: type, default, parent: str):
+    """doc[key] checked by _json_check; default when absent or null."""
+    path = f"{parent}.{key}" if parent else key
+    value = doc.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ValueError(f"{path}: missing")
+        return default
+    return _json_check(value, kind, path)
+
+
+@contextmanager
+def _at(path: str):
+    """Prefix the message of a ValueError raised inside with path."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -63,9 +107,12 @@ class EveStrategy:
 
     @classmethod
     def from_json(cls, cfg: dict) -> EveStrategy:
-        return cls(kind=cfg.get("kind", "none"),
-                   picker=cfg.get("picker", "uniform_all"),
-                   fixed_basis=cfg.get("fixed_basis"))
+        """Strategy from the "eve" object of a session config document."""
+        kind = _json_get(cfg, "kind", str, "none", "eve")
+        picker = _json_get(cfg, "picker", str, "uniform_all", "eve")
+        fixed_basis = _json_get(cfg, "fixed_basis", int, None, "eve")
+        with _at("eve"):
+            return cls(kind=kind, picker=picker, fixed_basis=fixed_basis)
 
 
 @dataclass(frozen=True)
@@ -118,19 +165,36 @@ class SessionConfig:
 
     @classmethod
     def from_json(cls, cfg: dict) -> SessionConfig:
-        spec = FieldSpec.from_config(cfg["field"])
-        pair = cfg.get("pair_label")
+        """Config from its JSON document.  A null value counts as absent.
+        Raises ValueError naming the path of the first bad value."""
+        _json_check(cfg, dict, "config")
+        field_cfg = _json_get(cfg, "field", dict, _REQUIRED, "")
+        p = _json_get(field_cfg, "p", int, _REQUIRED, "field")
+        n = _json_get(field_cfg, "n", int, 1, "field")
+        modulus = tuple(_json_check(m, int, f"field.modulus[{i}]")
+                        for i, m in enumerate(_json_get(field_cfg, "modulus", list, [], "field")))
+        with _at("field"):
+            spec = FieldSpec(p, n, modulus)
+        delta = _json_get(cfg, "delta_offset", int, 0, "")
+        with _at("delta_offset"):
+            delta = spec.from_index(delta)
+        pair = _json_get(cfg, "pair_label", list, None, "")
+        if pair is not None:
+            if len(pair) != 2:
+                raise ValueError(f"pair_label: expected [b, c], got {len(pair)} entries")
+            b, c = (_json_check(x, int, f"pair_label[{i}]") for i, x in enumerate(pair))
+            with _at("pair_label"):
+                pair = PairLabel(spec.from_index(b), spec.from_index(c))
         return cls(
             field=spec,
-            rounds=int(cfg["rounds"]),
-            check_fraction=float(cfg.get("check_fraction", 0.1)),
-            mode=cfg.get("mode", "oracle"),
-            swap_repetitions=int(cfg.get("swap_repetitions", 1)),
-            eve=EveStrategy.from_json(cfg.get("eve") or {}),
-            delta_offset=spec.from_index(int(cfg.get("delta_offset", 0))),
-            pair_label=(PairLabel(spec.from_index(int(pair[0])), spec.from_index(int(pair[1])))
-                        if pair is not None else None),
-            seed=int(cfg.get("seed", 0)),
+            rounds=_json_get(cfg, "rounds", int, _REQUIRED, ""),
+            check_fraction=float(_json_get(cfg, "check_fraction", float, 0.1, "")),
+            mode=_json_get(cfg, "mode", str, "oracle", ""),
+            swap_repetitions=_json_get(cfg, "swap_repetitions", int, 1, ""),
+            eve=EveStrategy.from_json(_json_get(cfg, "eve", dict, {}, "")),
+            delta_offset=delta,
+            pair_label=pair,
+            seed=_json_get(cfg, "seed", int, 0, ""),
         )
 
 
@@ -182,14 +246,15 @@ class Transcript:
 def alice_encode(bit: int, c1: GfElem, c1p: GfElem, delta: GfElem, rng) -> GfElem:
     """Announcement value: the matching shift for bit 1, uniformly any of
     the d-1 other field values for bit 0."""
-    match = c1p - c1 + delta
+    spec = c1.field
+    return spec.from_index(_announce(bit, (c1p - c1 + delta).index, spec.d, rng))
+
+
+def _announce(bit: int, match: int, d: int, rng) -> int:
     if bit == 1:
         return match
-    spec = c1.field
-    k = int(rng.integers(spec.d - 1))
-    if k >= match.index:
-        k += 1
-    return spec.from_index(k)
+    k = int(rng.integers(d - 1))
+    return k + 1 if k >= match else k
 
 
 def bob_decode(state2: np.ndarray, state2p: np.ndarray, lam: GfElem,
@@ -209,15 +274,112 @@ def bob_decode(state2: np.ndarray, state2p: np.ndarray, lam: GfElem,
     return 1
 
 
-def _pick_eve_basis(eve: EveStrategy, spec: FieldSpec, rng) -> BasisId:
+def _pick_eve_basis(eve: EveStrategy, d: int, rng) -> int:
+    """Canonical index of the basis Eve measures in this round."""
     if eve.picker == "fixed":
-        return basis_from_index(spec, eve.fixed_basis)
+        return int(eve.fixed_basis)
     if eve.picker == "uniform_quadratic":
-        return BasisId(spec.from_index(int(rng.integers(spec.d))))
-    return basis_from_index(spec, int(rng.integers(spec.d + 1)))
+        return int(rng.integers(d))
+    return int(rng.integers(d + 1))
+
+
+@lru_cache(maxsize=None)
+def _uniform_cdf(d: int) -> np.ndarray:
+    return np.cumsum(np.full(d, 1.0 / d))
+
+
+def _uniform_outcome(d: int, rng) -> int:
+    """An outcome of d equally likely ones, drawn as sample_index draws it."""
+    return min(int(_uniform_cdf(d).searchsorted(rng.random(), side="right")), d - 1)
+
+
+def _measure(state: tuple[int, int], basis: int, d: int, rng) -> int:
+    """Outcome of measuring the state labeled (basis index, c) in a basis.
+
+    Certain in the state's own basis, uniform in every other; one variate
+    either way, as born_sample draws.
+    """
+    if state[0] == basis:
+        rng.random()
+        return state[1]
+    return _uniform_outcome(d, rng)
+
+
+def _compare(spec: FieldSpec, state2: tuple[int, int], state2p: tuple[int, int], lam: int,
+             mode: str, reps: int, rng) -> int:
+    """bob_decode on labels: shift the second state by lam, compare with the first.
+
+    The squared overlap of two MUB states is 1 for equal labels, 0 for
+    other states of one basis and 1/d across bases.  A shift changes no
+    computational-basis state.
+    """
+    d = spec.d
+    if state2p[0] != d:
+        state2p = (state2p[0], index_add(spec, state2p[1], lam))
+    overlap = 1.0 if state2 == state2p else 0.0 if state2[0] == state2p[0] else 1.0 / d
+    if mode == "oracle":
+        return 1 if overlap == 1.0 else 0
+    p_anti = (1.0 - overlap) / 2.0
+    for _ in range(reps):
+        if rng.random() < p_anti:
+            return 0
+    return 1
+
+
+def _new_record(round_index: int, kind: str, b1: int, c1: int, c1p: int,
+                eve_basis: int | None, eve_outcome: list[int] | None) -> RoundRecord:
+    return RoundRecord(round=round_index, kind=kind, bit_sent=None, lam=None,
+                       b1=b1, c1=c1, c1p=c1p,
+                       eve_basis=eve_basis, eve_outcome=eve_outcome, decoded=None,
+                       check_b2=None, check_expected=None,
+                       check_measured=None, check_passed=None)
 
 
 def run_round(config: SessionConfig, round_index: int, rng) -> RoundRecord:
+    """One round on MUB labels; the same draws and record as run_round_dense."""
+    spec = config.field
+    d = spec.d
+    if config.pair_label is None:
+        b = int(rng.integers(d))
+        c = int(rng.integers(d))
+    else:
+        b, c = config.pair_label.b.index, config.pair_label.c.index
+    delta = config.delta_offset.index
+
+    # Alice's outcomes are uniform in every basis; Bob's particles collapse
+    # to (b - b1, c - c1) and (b - b1, c - delta - c1p).
+    b1 = int(rng.integers(d))
+    c1 = _uniform_outcome(d, rng)
+    c1p = _uniform_outcome(d, rng)
+    b2 = index_sub(spec, b, b1)
+    bob1 = (b2, index_sub(spec, c, c1))
+    bob2 = (b2, index_sub(spec, index_sub(spec, c, delta), c1p))
+
+    eve_basis = eve_outcome = None
+    if config.eve.kind == "intercept_resend":
+        eve_basis = _pick_eve_basis(config.eve, d, rng)
+        eve_outcome = [_measure(bob1, eve_basis, d, rng), _measure(bob2, eve_basis, d, rng)]
+        bob1, bob2 = (eve_basis, eve_outcome[0]), (eve_basis, eve_outcome[1])
+
+    # duty assigned only after transit
+    kind = "check" if rng.random() < config.check_fraction else "message"
+    rec = _new_record(round_index, kind, b1, c1, c1p, eve_basis, eve_outcome)
+    if kind == "message":
+        bit = int(rng.integers(2))
+        rec.bit_sent = bit
+        rec.lam = _announce(bit, index_add(spec, index_sub(spec, c1p, c1), delta), d, rng)
+        rec.decoded = _compare(spec, bob1, bob2, rec.lam, config.mode,
+                               config.swap_repetitions, rng)
+    else:
+        rec.check_b2 = b2
+        rec.check_expected = index_sub(spec, c, c1)
+        rec.check_measured = _measure(bob1, b2, d, rng)
+        rec.check_passed = rec.check_measured == rec.check_expected
+    return rec
+
+
+def run_round_dense(config: SessionConfig, round_index: int, rng) -> RoundRecord:
+    """One round on dense state vectors: the physics reference for run_round."""
     spec = config.field
     d = spec.d
     if config.pair_label is None:
@@ -236,20 +398,17 @@ def run_round(config: SessionConfig, round_index: int, rng) -> RoundRecord:
 
     eve_basis = eve_outcome = None
     if config.eve.kind == "intercept_resend":
-        eb = _pick_eve_basis(config.eve, spec, rng)
-        eve_mat = basis_matrix(spec, eb)
+        eve_basis = _pick_eve_basis(config.eve, d, rng)
+        eve_mat = basis_matrix(spec, basis_from_index(spec, eve_basis))
         k1, bob1 = born_sample(bob1, eve_mat, rng)
         k2, bob2 = born_sample(bob2, eve_mat, rng)
-        eve_basis, eve_outcome = basis_index(spec, eb), [k1, k2]
+        eve_outcome = [k1, k2]
 
     # duty assigned only after transit
     kind = "check" if rng.random() < config.check_fraction else "message"
 
-    rec = RoundRecord(round=round_index, kind=kind, bit_sent=None, lam=None,
-                      b1=b1.b.index, c1=c1.index, c1p=c1p.index,
-                      eve_basis=eve_basis, eve_outcome=eve_outcome, decoded=None,
-                      check_b2=None, check_expected=None,
-                      check_measured=None, check_passed=None)
+    rec = _new_record(round_index, kind, b1.b.index, c1.index, c1p.index,
+                      eve_basis, eve_outcome)
 
     if kind == "message":
         bit = int(rng.integers(2))

@@ -173,3 +173,20 @@ def test_session_flag_validation(tmp_path, capsys):
                  "--out", str(tmp_path / "t"), "--stats", str(tmp_path / "s")]) == 2
     assert main(["session", "--p", "3", "--rounds", "5", "--eve", "sneaky",
                  "--out", str(tmp_path / "t"), "--stats", str(tmp_path / "s")]) == 2
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"rounds": 5}, "field"),
+    ({"field": {"p": 3}, "rounds": 5,
+      "eve": {"kind": "intercept_resend", "picker": "fixed", "fixed_basis": "1"}},
+     "eve.fixed_basis"),
+    ([{"field": {"p": 3}, "rounds": 5}], "config"),
+    ({"field": {"p": 3}, "rounds": 5, "pair_label": [1]}, "pair_label"),
+])
+def test_session_bad_config_is_a_config_error(tmp_path, capsys, doc, path):
+    cfg_path = tmp_path / "session.json"
+    cfg_path.write_text(json.dumps(doc))
+    code = main(["session", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "t.jsonl"), "--stats", str(tmp_path / "s.json")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")

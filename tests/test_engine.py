@@ -1,0 +1,54 @@
+"""The label round against the dense reference round, and label sessions at
+a dimension the dense engine cannot hold."""
+
+import itertools
+import json
+
+import numpy as np
+import pytest
+
+from mubqkd.entangle import PairLabel
+from mubqkd.gf import FieldSpec
+from mubqkd.mub import basis_matrix
+from mubqkd.protocol import EveStrategy, SessionConfig, run_round, run_round_dense, run_session
+
+EVES = {
+    "none": lambda d: EveStrategy(),
+    "uniform_all": lambda d: EveStrategy("intercept_resend", "uniform_all"),
+    "uniform_quadratic": lambda d: EveStrategy("intercept_resend", "uniform_quadratic"),
+    "fixed_quadratic_0": lambda d: EveStrategy("intercept_resend", "fixed", 0),
+    "fixed_computational": lambda d: EveStrategy("intercept_resend", "fixed", d),
+}
+
+
+def _jsonl(round_fn, config):
+    rng = np.random.default_rng(config.seed)
+    return [json.dumps(round_fn(config, i, rng).to_json()) for i in range(config.rounds)]
+
+
+@pytest.mark.parametrize("eve", list(EVES))
+@pytest.mark.parametrize("spec", [FieldSpec(3, 1), FieldSpec(7, 1), FieldSpec(3, 2),
+                                  FieldSpec(5, 2)], ids=lambda s: f"d{s.d}")
+def test_label_round_matches_dense_round(spec, eve):
+    d = spec.d
+    for (mode, reps), delta, fixed_pair, seed in itertools.product(
+            [("oracle", 1), ("swap", 3)], [0, d - 1], [False, True], [1, 2]):
+        config = SessionConfig(
+            field=spec, rounds=120, check_fraction=0.3, mode=mode, swap_repetitions=reps,
+            eve=EVES[eve](d), delta_offset=spec.from_index(delta),
+            pair_label=(PairLabel(spec.from_index(1), spec.from_index(d - 1))
+                        if fixed_pair else None),
+            seed=seed)
+        assert _jsonl(run_round, config) == _jsonl(run_round_dense, config), config
+
+
+def test_d729_session_runs_without_dense_matrices():
+    spec = FieldSpec(3, 6)
+    d = spec.d
+    config = SessionConfig(field=spec, rounds=2000, check_fraction=1.0,
+                           eve=EveStrategy("intercept_resend", "uniform_all"), seed=3)
+    cached = basis_matrix.cache_info().currsize
+    rate = run_session(config).summary["check_pass_rate"]
+    assert basis_matrix.cache_info().currsize == cached
+    expect = 2 / (d + 1)
+    assert abs(rate - expect) < 3 * np.sqrt(expect * (1 - expect) / config.rounds)

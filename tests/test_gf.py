@@ -1,9 +1,12 @@
 """Field arithmetic: worked examples plus algebraic property checks."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
-from mubqkd.gf import FieldSpec, GfElem, find_irreducible, is_irreducible, is_prime
+from mubqkd.gf import (FieldSpec, GfElem, find_irreducible, index_add, index_neg, index_sub,
+                       is_irreducible, is_prime)
 
 GF3 = FieldSpec(3, 1)
 GF5 = FieldSpec(5, 1)
@@ -159,3 +162,12 @@ def test_config_roundtrip():
     spec = FieldSpec(5, 2)
     assert FieldSpec.from_config(spec.to_config()) == spec
     assert FieldSpec.from_config({"p": 7}) == GF7
+
+
+@pytest.mark.parametrize("spec", [GF7, GF9, GF25, GF27])
+def test_index_arithmetic_matches_element_arithmetic(spec):
+    elems = spec.elements()
+    for a, b in itertools.product(elems, repeat=2):
+        assert index_add(spec, a.index, b.index) == (a + b).index
+        assert index_sub(spec, a.index, b.index) == (a - b).index
+    assert [index_neg(spec, a.index) for a in elems] == [(-a).index for a in elems]
