@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import FieldSpec, GfElem, index_tables
+from .gf import FieldSpec, GfElem, index_arrays
 from .hilbert import apply_diag_phase, sample_index
 from .mub import BasisId, MubLabel, basis_matrix, mub_state
 
@@ -67,8 +67,8 @@ def shift_remote(state: np.ndarray, lam: GfElem) -> np.ndarray:
     the field.
     """
     spec = lam.field
-    _, mul, tr = index_tables(spec)
-    expo = tr[mul[lam.index]]
+    digits, form, _ = index_arrays(spec)
+    expo = digits[lam.index] @ form @ digits.T % spec.p      # tr(lam * n) for each n
     phases = np.exp(2j * np.pi * expo / spec.p)
     return apply_diag_phase(state, phases)
 

@@ -1,17 +1,17 @@
 """Exact arithmetic in GF(p^n) for odd primes p.
 
-Elements are fixed-length coefficient tuples over GF(p), low-order first,
-reduced modulo a monic irreducible polynomial of degree n.  The integer
-index of an element, sum(coeffs[i] * p**i), fixes the canonical ordering
-used everywhere for basis construction and transcript output.  Hot paths
-work on these indices directly: addition is digit-wise mod p, so it needs
-no table, and index_tables holds the add, mul and trace tables for the
-code that does need multiplication.
+An element is stored as its canonical index sum(coeffs[i] * p**i), where
+coeffs (low-order first) represent it modulo a monic irreducible polynomial
+of degree n; the index order is used everywhere for bases and transcripts.
+Addition is digit-wise mod p on indices; products and the trace work on
+coefficients.  Phases need only tr(a*b), which index_arrays gives as
+digits[a] @ form @ digits[b] mod p through the n x n trace form.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -82,15 +82,18 @@ def find_irreducible(p: int, n: int) -> tuple[int, ...]:
     Candidates are scanned in ascending order with the constant term
     varying fastest, so the result is deterministic.
     """
-    for k in range(p ** n):
-        tail, m = [], k
-        for _ in range(n):
-            tail.append(m % p)
-            m //= p
-        cand = tail + [1]
+    for tail in itertools.product(range(p), repeat=n):
+        cand = tail[::-1] + (1,)
         if is_irreducible(cand, p):
-            return tuple(cand)
+            return cand
     raise AssertionError("monic irreducibles exist for every degree")
+
+
+def _integer(key: str, value) -> int:
+    """value as an int; ValueError naming key for booleans, floats, strings and None."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{key}: expected an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -105,34 +108,36 @@ class FieldSpec:
     modulus: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.p == 2 or not is_prime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
-        if self.n < 1:
-            raise ValueError(f"extension degree must be at least 1, got {self.n}")
-        mod = tuple(int(c) % self.p for c in self.modulus)
+        p, n = _integer("p", self.p), _integer("n", self.n)
+        if p == 2 or not is_prime(p):
+            raise ValueError(f"p must be an odd prime, got {p}")
+        if n < 1:
+            raise ValueError(f"extension degree must be at least 1, got {n}")
+        if not isinstance(self.modulus, (list, tuple)):
+            raise ValueError(f"modulus: expected a sequence, got {self.modulus!r}")
+        mod = tuple(_integer(f"modulus[{i}]", c) % p for i, c in enumerate(self.modulus))
         if not mod:
-            mod = find_irreducible(self.p, self.n)
-        if len(mod) != self.n + 1 or mod[-1] != 1:
-            raise ValueError(f"modulus must be monic of degree {self.n}, got {list(mod)}")
-        if not is_irreducible(mod, self.p):
-            raise ValueError(f"modulus {list(mod)} is reducible over GF({self.p})")
-        object.__setattr__(self, "modulus", mod)
+            mod = find_irreducible(p, n)
+        if len(mod) != n + 1 or mod[-1] != 1:
+            raise ValueError(f"modulus must be monic of degree {n}, got {list(mod)}")
+        if not is_irreducible(mod, p):
+            raise ValueError(f"modulus {list(mod)} is reducible over GF({p})")
+        for name, value in (("p", p), ("n", n), ("modulus", mod)):
+            object.__setattr__(self, name, value)
 
     @property
     def d(self) -> int:
         return self.p ** self.n
 
     def element(self, coeffs) -> GfElem:
-        return GfElem(self, tuple(coeffs))
+        """Element from coefficients (low-order first), reduced mod p and zero-padded."""
+        coeffs = [int(c) % self.p for c in coeffs]
+        if len(coeffs) > self.n:
+            raise ValueError("coefficient vector longer than the extension degree")
+        return GfElem(self, sum(c * self.p ** i for i, c in enumerate(coeffs)))
 
     def from_index(self, k: int) -> GfElem:
-        if not 0 <= k < self.d:
-            raise ValueError(f"element index {k} outside [0, {self.d})")
-        coeffs, m = [], k
-        for _ in range(self.n):
-            coeffs.append(m % self.p)
-            m //= self.p
-        return GfElem(self, tuple(coeffs))
+        return GfElem(self, k)
 
     def zero(self) -> GfElem:
         return self.from_index(0)
@@ -149,29 +154,29 @@ class FieldSpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> FieldSpec:
-        return cls(int(cfg["p"]), int(cfg.get("n", 1)), tuple(cfg.get("modulus") or ()))
+        """Inverse of to_config; n and modulus may be absent or null."""
+        n = cfg.get("n")
+        return cls(cfg.get("p"), 1 if n is None else n, cfg.get("modulus") or ())
 
 
 @dataclass(frozen=True)
 class GfElem:
-    """A GF(p^n) element: length-n coefficient tuple over GF(p), low-order first."""
+    """A GF(p^n) element, stored as its canonical index in [0, d)."""
 
     field: FieldSpec
-    coeffs: tuple[int, ...]
+    index: int
 
     def __post_init__(self):
-        c = tuple(int(x) % self.field.p for x in self.coeffs)
-        if len(c) > self.field.n:
-            raise ValueError("coefficient vector longer than the extension degree")
-        c = c + (0,) * (self.field.n - len(c))
-        object.__setattr__(self, "coeffs", c)
+        k = operator.index(self.index)
+        if not 0 <= k < self.field.d:
+            raise ValueError(f"element index {k} outside [0, {self.field.d})")
+        object.__setattr__(self, "index", k)
 
     @property
-    def index(self) -> int:
-        k = 0
-        for c in reversed(self.coeffs):
-            k = k * self.field.p + c
-        return k
+    def coeffs(self) -> tuple[int, ...]:
+        """The base-p digits of index: n coefficients over GF(p), low-order first."""
+        p = self.field.p
+        return tuple(self.index // p ** i % p for i in range(self.field.n))
 
     def _same_field(self, other):
         if not isinstance(other, GfElem) or self.field != other.field:
@@ -179,20 +184,19 @@ class GfElem:
 
     def __add__(self, other: GfElem) -> GfElem:
         self._same_field(other)
-        p = self.field.p
-        return GfElem(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return GfElem(self.field, index_add(self.field, self.index, other.index))
 
     def __neg__(self) -> GfElem:
-        p = self.field.p
-        return GfElem(self.field, tuple((-a) % p for a in self.coeffs))
+        return GfElem(self.field, index_neg(self.field, self.index))
 
     def __sub__(self, other: GfElem) -> GfElem:
-        return self + (-other)
+        self._same_field(other)
+        return GfElem(self.field, index_sub(self.field, self.index, other.index))
 
     def __mul__(self, other: GfElem) -> GfElem:
         self._same_field(other)
         prod = _poly_mul(self.coeffs, other.coeffs, self.field.p)
-        return GfElem(self.field, tuple(_poly_rem(prod, self.field.modulus, self.field.p)))
+        return self.field.element(_poly_rem(prod, self.field.modulus, self.field.p))
 
     def __pow__(self, e: int) -> GfElem:
         if e < 0:
@@ -219,11 +223,11 @@ class GfElem:
         for _ in range(self.field.n - 1):
             term = term ** self.field.p
             acc = acc + term
-        assert not any(acc.coeffs[1:]), "trace left the prime subfield"
-        return acc.coeffs[0]
+        assert acc.index < self.field.p, "trace left the prime subfield"
+        return acc.index
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return self.index != 0
 
     def __repr__(self) -> str:
         return f"GfElem({list(self.coeffs)} in GF({self.field.p}^{self.field.n}))"
@@ -234,21 +238,21 @@ class GfElem:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def index_tables(spec: FieldSpec):
-    """Read-only (add, mul, trace) tables over canonical element indices."""
-    elems = spec.elements()
-    d = spec.d
-    add = np.empty((d, d), dtype=np.int64)
-    mul = np.empty((d, d), dtype=np.int64)
-    for i, a in enumerate(elems):
-        for j in range(i, d):
-            b = elems[j]
-            add[i, j] = add[j, i] = (a + b).index
-            mul[i, j] = mul[j, i] = (a * b).index
-    tr = np.array([a.trace() for a in elems], dtype=np.int64)
-    for t in (add, mul, tr):
+def index_arrays(spec: FieldSpec):
+    """Read-only (digits, form, squares), O(d * n) in all: the n base-p digits
+    of each index, the trace form form[i, j] = tr(x^i * x^j), and the index of
+    k * k for each k.  tr(a * b) is digits[a] @ form @ digits[b] % p."""
+    p, n = spec.p, spec.n
+    place = p ** np.arange(n)
+    digits = np.arange(spec.d)[:, None] // place % p
+    monomials = [spec.from_index(p ** i) for i in range(n)]          # x^0 .. x^(n-1)
+    prods = [[a * b for b in monomials] for a in monomials]
+    form = np.array([[ab.trace() for ab in row] for row in prods])
+    prod_digits = np.array([[ab.coeffs for ab in row] for row in prods])
+    squares = np.einsum("ki,kj,ijl->kl", digits, digits, prod_digits) % p @ place
+    for t in (digits, form, squares):
         t.setflags(write=False)
-    return add, mul, tr
+    return digits, form, squares
 
 
 def _digitwise(spec: FieldSpec, a: int, b: int, sign: int) -> int:

@@ -26,10 +26,6 @@ def basis_state(dim: int, k: int) -> np.ndarray:
     return e
 
 
-def norm(u) -> float:
-    return float(np.linalg.norm(as_state(u)))
-
-
 def is_normalized(u, tol: float = NORM_TOL) -> bool:
     u = as_state(u)
     return abs(float(np.vdot(u, u).real) - 1.0) < tol

@@ -2,10 +2,11 @@
 
 For each field element b there is a quadratic-phase basis whose state c
 carries amplitude omega^tr(b*n^2 + c*n) / sqrt(d) at position index(n),
-with omega = exp(2*pi*i/p).  The computational basis completes the set
-to the maximal count of d+1.  Basis matrices are cached per (field,
-basis id) because the dense reference round and verify request them in
-hot loops.
+with omega = exp(2*pi*i/p); the trace is additive, so the exponent is
+tr(b*n^2) + tr(c*n) mod p, both read off the field's trace form.  The
+computational basis completes the set to the maximal count of d+1.  Basis
+matrices are cached per (field, basis id) because the dense reference
+round and verify request them in hot loops.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import FieldSpec, GfElem, index_tables
+from .gf import FieldSpec, GfElem, index_arrays
 
 
 @dataclass(frozen=True)
@@ -70,10 +71,10 @@ def basis_matrix(spec: FieldSpec, basis: BasisId) -> np.ndarray:
     if basis.is_computational:
         mat = np.eye(d, dtype=complex)
     else:
-        add, mul, tr = index_tables(spec)
-        sq = mul.diagonal()
-        bn2 = mul[basis.b.index, sq]            # index(b * n^2) for each n
-        expo = tr[add[bn2[None, :], mul]]       # row c, column n: tr(b*n^2 + c*n)
+        digits, form, squares = index_arrays(spec)
+        tr_bn2 = digits[basis.b.index] @ form @ digits[squares].T     # tr(b * n^2) for each n
+        tr_cn = digits @ form @ digits.T        # row c, column n: tr(c * n)
+        expo = (tr_cn + tr_bn2) % spec.p
         mat = np.exp(2j * np.pi * expo / spec.p) / np.sqrt(d)
     mat.setflags(write=False)
     return mat

@@ -138,6 +138,8 @@ class SessionConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.swap_repetitions < 1:
             raise ValueError("swap_repetitions must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed: expected a non-negative integer, got {self.seed}")
         delta = self.delta_offset if self.delta_offset is not None else self.field.zero()
         if delta.field != self.field:
             raise ValueError("delta_offset belongs to a different field spec")
@@ -169,12 +171,8 @@ class SessionConfig:
         Raises ValueError naming the path of the first bad value."""
         _json_check(cfg, dict, "config")
         field_cfg = _json_get(cfg, "field", dict, _REQUIRED, "")
-        p = _json_get(field_cfg, "p", int, _REQUIRED, "field")
-        n = _json_get(field_cfg, "n", int, 1, "field")
-        modulus = tuple(_json_check(m, int, f"field.modulus[{i}]")
-                        for i, m in enumerate(_json_get(field_cfg, "modulus", list, [], "field")))
         with _at("field"):
-            spec = FieldSpec(p, n, modulus)
+            spec = FieldSpec.from_config(field_cfg)
         delta = _json_get(cfg, "delta_offset", int, 0, "")
         with _at("delta_offset"):
             delta = spec.from_index(delta)

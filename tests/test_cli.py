@@ -175,6 +175,12 @@ def test_session_flag_validation(tmp_path, capsys):
                  "--out", str(tmp_path / "t"), "--stats", str(tmp_path / "s")]) == 2
 
 
+def test_session_negative_seed_flag(tmp_path, capsys):
+    assert main(["session", "--p", "3", "--rounds", "5", "--seed", "-1",
+                 "--out", str(tmp_path / "t"), "--stats", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err.startswith("error: seed: ")
+
+
 @pytest.mark.parametrize("doc, path", [
     ({"rounds": 5}, "field"),
     ({"field": {"p": 3}, "rounds": 5,
@@ -182,6 +188,7 @@ def test_session_flag_validation(tmp_path, capsys):
      "eve.fixed_basis"),
     ([{"field": {"p": 3}, "rounds": 5}], "config"),
     ({"field": {"p": 3}, "rounds": 5, "pair_label": [1]}, "pair_label"),
+    ({"field": {"p": 3}, "rounds": 5, "seed": -1}, "seed"),
 ])
 def test_session_bad_config_is_a_config_error(tmp_path, capsys, doc, path):
     cfg_path = tmp_path / "session.json"

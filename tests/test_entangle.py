@@ -111,6 +111,16 @@ def test_shifts_compose_additively():
         assert np.max(np.abs(two_step - one_step)) < 1e-12
 
 
+@pytest.mark.parametrize("spec", [GF3, GF9, FieldSpec(3, 2, (2, 1, 1)), FieldSpec(5, 2),
+                                  FieldSpec(3, 3)])
+def test_shift_phases_are_trace_characters(spec):
+    elems = spec.elements()
+    for lam in elems:
+        expo = np.array([(lam * n).trace() for n in elems])
+        assert np.array_equal(shift_remote(np.ones(spec.d, dtype=complex), lam),
+                              np.exp(2j * np.pi * expo / spec.p))
+
+
 def test_shift_is_unitary():
     state = _q_state(GF9, 4, 7)
     shifted = shift_remote(state, GF9.from_index(5))

@@ -1,12 +1,14 @@
 """Field arithmetic: worked examples plus algebraic property checks."""
 
+import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mubqkd.gf import (FieldSpec, GfElem, find_irreducible, index_add, index_neg, index_sub,
-                       is_irreducible, is_prime)
+from mubqkd.gf import (FieldSpec, GfElem, find_irreducible, index_add, index_arrays, index_neg,
+                       index_sub, is_irreducible, is_prime)
 
 GF3 = FieldSpec(3, 1)
 GF5 = FieldSpec(5, 1)
@@ -171,3 +173,60 @@ def test_index_arithmetic_matches_element_arithmetic(spec):
         assert index_add(spec, a.index, b.index) == (a + b).index
         assert index_sub(spec, a.index, b.index) == (a - b).index
     assert [index_neg(spec, a.index) for a in elems] == [(-a).index for a in elems]
+
+
+def test_element_is_an_index():
+    assert [f.name for f in dataclasses.fields(GfElem)] == ["field", "index"]
+    assert GF9.element([4, -1]) == GF9.from_index(7)          # reduced mod p
+    assert GF9.element([2]) == GF9.from_index(2)              # zero-padded
+    assert GF9.from_index(7).coeffs == (1, 2)
+    k = GF9.from_index(np.int64(7)).index
+    assert k == 7 and type(k) is int
+    assert hash(GF9.element([1, 2])) == hash(GF9.from_index(7))
+    assert len({GF9.element([1, 2]), GF9.from_index(7), GF9.one() + GF9.from_index(6)}) == 1
+    with pytest.raises(ValueError):
+        GF9.element([1, 2, 0])
+    for k in (-1, GF9.d):
+        with pytest.raises(ValueError):
+            GF9.from_index(k)
+    with pytest.raises(TypeError):
+        GF9.from_index(1.0)
+
+
+@pytest.mark.parametrize("cfg", [
+    {"p": 3.7}, {"p": "7"}, {"p": True}, {}, {"p": 3, "n": 2.0}, {"p": 3, "n": "2"},
+    {"p": 3, "n": 2, "modulus": [1, 0, 1.0]}, {"p": 3, "n": 2, "modulus": [1, 0, True]},
+    {"p": 3, "n": 2, "modulus": "101"}, {"p": 3, "n": 2, "modulus": 5},
+])
+def test_from_config_rejects_non_integers(cfg):
+    with pytest.raises(ValueError, match=r"^(p|n|modulus(\[\d\])?): expected"):
+        FieldSpec.from_config(cfg)
+
+
+def test_from_config_null_takes_the_default():
+    assert FieldSpec.from_config({"p": 3, "n": None, "modulus": None}) == GF3
+    assert FieldSpec.from_config({"p": 3, "n": 2, "modulus": [2, 1, 1]}).modulus == (2, 1, 1)
+
+
+@pytest.mark.parametrize("spec", [GF3, GF9, FieldSpec(3, 2, (2, 1, 1)), GF25, GF27])
+def test_trace_form_matches_element_arithmetic(spec):
+    digits, form, squares = index_arrays(spec)
+    elems = spec.elements()
+    assert [spec.element(row) for row in digits] == elems
+    assert [spec.from_index(k) for k in squares] == [a * a for a in elems]
+    tr = digits @ form @ digits.T % spec.p
+    assert tr.tolist() == [[(a * b).trace() for b in elems] for a in elems]
+    a, b = np.divmod(np.arange(spec.d ** 2), spec.d)
+    for op, sign in ((index_add, 1), (index_sub, -1)):
+        got = [op(spec, int(x), int(y)) for x, y in zip(a, b)]
+        assert np.array_equal(digits[got], (digits[a] + sign * digits[b]) % spec.p)
+    assert np.array_equal(digits[[index_neg(spec, k) for k in range(spec.d)]], -digits % spec.p)
+
+
+def test_field_arrays_are_o_d_n():
+    spec = FieldSpec(3, 6)
+    d, n = spec.d, spec.n
+    arrays = index_arrays(spec)
+    assert [a.shape for a in arrays] == [(d, n), (n, n), (d,)]
+    assert sum(a.nbytes for a in arrays) <= 8 * (d * n + n * n + d)
+    assert not any(a.flags.writeable for a in arrays)

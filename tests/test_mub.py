@@ -105,3 +105,14 @@ def test_basis_matrix_is_read_only():
     mat = basis_matrix(GF3, BasisId(GF3.from_index(1)))
     with pytest.raises(ValueError):
         mat[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("spec", [GF3, GF9, FieldSpec(3, 2, (2, 1, 1)), FieldSpec(5, 2),
+                                  FieldSpec(3, 3)])
+def test_basis_matrix_equals_trace_of_element_arithmetic(spec):
+    elems = spec.elements()
+    tr = {e: e.trace() for e in elems}
+    for b in elems:
+        expo = np.array([[tr[b * n * n + c * n] for n in elems] for c in elems])
+        expected = np.exp(2j * np.pi * expo / spec.p) / np.sqrt(spec.d)
+        assert np.array_equal(basis_matrix(spec, BasisId(b)), expected)

@@ -227,6 +227,8 @@ def test_config_validation():
         SessionConfig(field=GF3, rounds=1, swap_repetitions=0)
     with pytest.raises(ValueError):
         SessionConfig(field=GF3, rounds=1, delta_offset=GF7.one())
+    with pytest.raises(ValueError, match="^seed: "):
+        SessionConfig(field=GF3, rounds=1, seed=-1)
     with pytest.raises(ValueError):
         SessionConfig(field=GF3, rounds=1,
                       eve=EveStrategy("intercept_resend", "fixed", 9))
@@ -245,6 +247,13 @@ def test_config_json_roundtrip():
                                              FieldSpec(3, 2).from_index(2)),
                         seed=99)
     assert SessionConfig.from_json(cfg.to_json()) == cfg
+
+
+@pytest.mark.parametrize("field_cfg", [{"p": 3.7}, {"p": "7"}, {"n": 2},
+                                       {"p": 3, "n": 2, "modulus": [1, 0, 1.5]}])
+def test_field_config_errors_name_the_field(field_cfg):
+    with pytest.raises(ValueError, match="^field: "):
+        SessionConfig.from_json({"field": field_cfg, "rounds": 5})
 
 
 def test_detection_thresholds():
