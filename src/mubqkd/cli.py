@@ -20,12 +20,9 @@ from .gf import FieldSpec
 from .hilbert import project_first
 from .mub import BasisId, MubLabel, all_bases, basis_matrix, mub_state, unbiasedness_report
 from .phasespace import dwigner1, dwigner2_support
-from .protocol import EveStrategy, SessionConfig, run_session
+from .protocol import SessionConfig, run_session
 
 VERIFY_TOLS = {
-    "cross": 1e-9,
-    "orthonormality": 1e-12,
-    "completeness": 1e-12,
     "projection": 1e-12,
     "projection_norm": 1e-12,
     "shift": 1e-12,
@@ -33,11 +30,14 @@ VERIFY_TOLS = {
 }
 
 
+def _field_config(args) -> dict:
+    """The "field" object of a config document, from --p, --n and --modulus."""
+    modulus = args.modulus and [int(t) for t in args.modulus.split(",")]
+    return {"p": args.p, "n": args.n, "modulus": modulus}
+
+
 def _field_from_args(args) -> FieldSpec:
-    modulus = ()
-    if getattr(args, "modulus", None):
-        modulus = tuple(int(t) for t in args.modulus.split(","))
-    return FieldSpec(args.p, args.n, modulus)
+    return FieldSpec.from_config(_field_config(args))
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +114,7 @@ def _verify_report(spec: FieldSpec, samples: int, seed: int) -> dict:
         "joint_measure_repeatable": repeatable,
     }
     report["ok"] = bool(
-        rep.basis_count == d + 1
-        and rep.max_cross_deviation < VERIFY_TOLS["cross"]
-        and rep.max_orthonormality_deviation < VERIFY_TOLS["orthonormality"]
-        and rep.max_completeness_deviation < VERIFY_TOLS["completeness"]
+        rep.basis_count == d + 1 and rep.ok()
         and proj_dev < VERIFY_TOLS["projection"]
         and proj_norm_dev < VERIFY_TOLS["projection_norm"]
         and shift_dev < VERIFY_TOLS["shift"]
@@ -127,6 +124,8 @@ def _verify_report(spec: FieldSpec, samples: int, seed: int) -> dict:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     spec = _field_from_args(args)
     if spec.d > args.max_d:
         raise ValueError(f"d = {spec.d} exceeds --max-d {args.max_d}")
@@ -164,7 +163,7 @@ def cmd_bases(args) -> int:
 
 
 def cmd_wigner(args) -> int:
-    if args.n != 1:
+    if args.n not in (None, 1):
         raise ValueError("Wigner tables are defined for prime dimension only (n = 1)")
     spec = _field_from_args(args)
     d = spec.d
@@ -190,46 +189,43 @@ def cmd_wigner(args) -> int:
 # session
 # ---------------------------------------------------------------------------
 
-def _parse_eve(text: str) -> EveStrategy:
+# argparse dest names of the flags that set a session config
+_SESSION_FLAGS = ("p", "n", "modulus", "rounds", "check_frac", "mode", "reps", "eve",
+                 "delta", "b", "c", "seed")
+
+
+def _parse_eve(text: str) -> dict:
+    """The "eve" object of a config document, from an --eve value."""
     if text == "none":
-        return EveStrategy()
-    if text == "uniform-quadratic":
-        return EveStrategy("intercept_resend", "uniform_quadratic")
-    if text == "uniform-all":
-        return EveStrategy("intercept_resend", "uniform_all")
+        return {"kind": "none"}
+    if text in ("uniform-quadratic", "uniform-all"):
+        return {"kind": "intercept_resend", "picker": text.replace("-", "_")}
     if text.startswith("fixed:"):
-        return EveStrategy("intercept_resend", "fixed", int(text.split(":", 1)[1]))
+        return {"kind": "intercept_resend", "picker": "fixed",
+                "fixed_basis": int(text.split(":", 1)[1])}
     raise ValueError(f"unknown --eve value {text!r}")
 
 
 def _session_config(args) -> SessionConfig:
+    """Config from --config, or from the session flags as the same document."""
     if args.config:
-        conflicting = [name for name, val in
-                       [("--p", args.p), ("--rounds", args.rounds), ("--b", args.b), ("--c", args.c)]
-                       if val is not None]
-        if conflicting:
-            raise ValueError(f"--config cannot be combined with {', '.join(conflicting)}")
+        given = [f"--{name.replace('_', '-')}" for name in _SESSION_FLAGS
+                 if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"--config cannot be combined with {', '.join(given)}")
         with open(args.config) as fh:
             return SessionConfig.from_json(json.load(fh))
     if args.p is None or args.rounds is None:
         raise ValueError("session needs --p and --rounds (or --config)")
-    spec = _field_from_args(args)
     if (args.b is None) != (args.c is None):
         raise ValueError("--b and --c set the fixed pair label and must come together")
-    pair = None
-    if args.b is not None:
-        pair = PairLabel(spec.from_index(args.b), spec.from_index(args.c))
-    return SessionConfig(
-        field=spec,
-        rounds=args.rounds,
-        check_fraction=args.check_frac,
-        mode=args.mode,
-        swap_repetitions=args.reps,
-        eve=_parse_eve(args.eve),
-        delta_offset=spec.from_index(args.delta),
-        pair_label=pair,
-        seed=args.seed,
-    )
+    # a flag not given is null, which from_json reads as absent
+    return SessionConfig.from_json({
+        "field": _field_config(args), "rounds": args.rounds, "check_fraction": args.check_frac,
+        "mode": args.mode, "swap_repetitions": args.reps,
+        "eve": None if args.eve is None else _parse_eve(args.eve),
+        "delta_offset": args.delta, "pair_label": None if args.b is None else [args.b, args.c],
+        "seed": args.seed})
 
 
 def cmd_session(args) -> int:
@@ -264,9 +260,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_field_args(sp, p_required=True):
         sp.add_argument("--p", type=int, required=p_required, default=None,
                         help="odd prime characteristic")
-        sp.add_argument("--n", type=int, default=1, help="extension degree (d = p^n)")
-        sp.add_argument("--modulus", type=str, default=None,
-                        help="comma-separated modulus coefficients c0,c1,... (low-order first)")
+        sp.add_argument("--n", type=int, help="extension degree, d = p^n (default 1)")
+        sp.add_argument("--modulus", help="comma-separated modulus coefficients c0,c1,... "
+                        "(low-order first; default: the first irreducible one)")
 
     sp = sub.add_parser("verify", help="run the invariant suite and report max deviations")
     add_field_args(sp)
@@ -291,22 +287,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("session", help="run a protocol session and persist the transcript")
     add_field_args(sp, p_required=False)
-    sp.add_argument("--rounds", type=int, default=None)
-    sp.add_argument("--check-frac", type=float, default=0.1)
-    sp.add_argument("--mode", choices=["oracle", "swap"], default="oracle")
-    sp.add_argument("--reps", type=int, default=1, help="swap-test repetitions per comparison")
-    sp.add_argument("--eve", type=str, default="none",
-                    help="none | fixed:<basis idx> | uniform-quadratic | uniform-all")
-    sp.add_argument("--delta", type=int, default=0, help="offset between the two pair labels (index)")
+    sp.add_argument("--rounds", type=int, help="number of rounds (required without --config)")
+    sp.add_argument("--check-frac", type=float,
+                    help=f"share of check rounds (default {SessionConfig.check_fraction})")
+    sp.add_argument("--mode", choices=["oracle", "swap"], help=f"(default {SessionConfig.mode})")
+    sp.add_argument("--reps", type=int, help="swap-test repetitions per comparison "
+                    f"(default {SessionConfig.swap_repetitions})")
+    sp.add_argument("--eve", help="none | fixed:<basis idx> | uniform-quadratic | uniform-all "
+                    "(default none)")
+    sp.add_argument("--delta", type=int, help="offset between the two pair labels (index; default 0)")
     sp.add_argument("--b", type=int, default=None, help="fixed pair label b (index); random if omitted")
     sp.add_argument("--c", type=int, default=None, help="fixed pair label c (index); random if omitted")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, help=f"(default {SessionConfig.seed})")
     sp.add_argument("--out", type=str, default="transcript.jsonl")
     sp.add_argument("--stats", type=str, default="stats.json")
     sp.add_argument("--no-transcript", action="store_true",
                     help="skip the JSONL transcript (summary only)")
     sp.add_argument("--config", type=str, default=None,
-                    help="JSON session config instead of individual flags")
+                    help="JSON session config instead of the session flags above")
     sp.set_defaults(func=cmd_session)
     return parser
 

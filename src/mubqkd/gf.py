@@ -155,6 +155,9 @@ class FieldSpec:
     @classmethod
     def from_config(cls, cfg: dict) -> FieldSpec:
         """Inverse of to_config; n and modulus may be absent or null."""
+        for key in cfg:
+            if key not in ("p", "n", "modulus"):
+                raise ValueError(f"{key}: unknown key")
         n = cfg.get("n")
         return cls(cfg.get("p"), 1 if n is None else n, cfg.get("modulus") or ())
 

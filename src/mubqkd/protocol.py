@@ -47,30 +47,36 @@ _EVE_KINDS = ("none", "intercept_resend")
 _EVE_PICKERS = ("fixed", "uniform_quadratic", "uniform_all")
 _MODES = ("oracle", "swap")
 
-_REQUIRED = object()
+# JSON kind of each key of a session config document (float: any number).
+_CONFIG_KINDS = {"field": dict, "rounds": int, "check_fraction": float, "mode": str,
+                 "swap_repetitions": int, "eve": dict, "delta_offset": int,
+                 "pair_label": list, "seed": int}
+
 _JSON_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
                     str: "a string", list: "an array", dict: "an object"}
 
 
 def _json_check(value, kind: type, path: str):
-    """value itself if it has the JSON type that kind stands for (float:
-    any number), else ValueError naming path."""
+    """value if it has the JSON type that kind stands for (float: any number,
+    returned as a float), else ValueError naming path."""
     ok = (isinstance(value, (int, float)) if kind is float else isinstance(value, kind))
     if not ok or isinstance(value, bool):
         got = _JSON_TYPE_NAMES.get(type(value), "null" if value is None else type(value).__name__)
         raise ValueError(f"{path}: expected {_JSON_TYPE_NAMES[kind]}, got {got}")
-    return value
+    return float(value) if kind is float else value
 
 
-def _json_get(doc: dict, key: str, kind: type, default, parent: str):
-    """doc[key] checked by _json_check; default when absent or null."""
-    path = f"{parent}.{key}" if parent else key
-    value = doc.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise ValueError(f"{path}: missing")
-        return default
-    return _json_check(value, kind, path)
+def _json_fields(doc: dict, kinds: dict, parent: str) -> dict:
+    """The present, non-null values of doc, each checked by _json_check
+    against its key's kind; ValueError naming the path of a key not in kinds."""
+    values = {}
+    for key, value in doc.items():
+        path = f"{parent}.{key}" if parent else key
+        if key not in kinds:
+            raise ValueError(f"{path}: unknown key")
+        if value is not None:
+            values[key] = _json_check(value, kinds[key], path)
+    return values
 
 
 @contextmanager
@@ -108,11 +114,9 @@ class EveStrategy:
     @classmethod
     def from_json(cls, cfg: dict) -> EveStrategy:
         """Strategy from the "eve" object of a session config document."""
-        kind = _json_get(cfg, "kind", str, "none", "eve")
-        picker = _json_get(cfg, "picker", str, "uniform_all", "eve")
-        fixed_basis = _json_get(cfg, "fixed_basis", int, None, "eve")
+        values = _json_fields(cfg, {"kind": str, "picker": str, "fixed_basis": int}, "eve")
         with _at("eve"):
-            return cls(kind=kind, picker=picker, fixed_basis=fixed_basis)
+            return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -167,33 +171,27 @@ class SessionConfig:
 
     @classmethod
     def from_json(cls, cfg: dict) -> SessionConfig:
-        """Config from its JSON document.  A null value counts as absent.
-        Raises ValueError naming the path of the first bad value."""
-        _json_check(cfg, dict, "config")
-        field_cfg = _json_get(cfg, "field", dict, _REQUIRED, "")
+        """Config from its JSON document; an absent or null key takes the dataclass
+        default.  Raises ValueError naming the path of the first bad value."""
+        values = _json_fields(_json_check(cfg, dict, "config"), _CONFIG_KINDS, "")
+        for key in ("field", "rounds"):
+            if key not in values:
+                raise ValueError(f"{key}: missing")
         with _at("field"):
-            spec = FieldSpec.from_config(field_cfg)
-        delta = _json_get(cfg, "delta_offset", int, 0, "")
-        with _at("delta_offset"):
-            delta = spec.from_index(delta)
-        pair = _json_get(cfg, "pair_label", list, None, "")
-        if pair is not None:
+            spec = values["field"] = FieldSpec.from_config(values["field"])
+        if "eve" in values:
+            values["eve"] = EveStrategy.from_json(values["eve"])
+        if "delta_offset" in values:
+            with _at("delta_offset"):
+                values["delta_offset"] = spec.from_index(values["delta_offset"])
+        if "pair_label" in values:
+            pair = values["pair_label"]
             if len(pair) != 2:
                 raise ValueError(f"pair_label: expected [b, c], got {len(pair)} entries")
             b, c = (_json_check(x, int, f"pair_label[{i}]") for i, x in enumerate(pair))
             with _at("pair_label"):
-                pair = PairLabel(spec.from_index(b), spec.from_index(c))
-        return cls(
-            field=spec,
-            rounds=_json_get(cfg, "rounds", int, _REQUIRED, ""),
-            check_fraction=float(_json_get(cfg, "check_fraction", float, 0.1, "")),
-            mode=_json_get(cfg, "mode", str, "oracle", ""),
-            swap_repetitions=_json_get(cfg, "swap_repetitions", int, 1, ""),
-            eve=EveStrategy.from_json(_json_get(cfg, "eve", dict, {}, "")),
-            delta_offset=delta,
-            pair_label=pair,
-            seed=_json_get(cfg, "seed", int, 0, ""),
-        )
+                values["pair_label"] = PairLabel(spec.from_index(b), spec.from_index(c))
+        return cls(**values)
 
 
 @dataclass

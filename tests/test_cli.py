@@ -30,6 +30,12 @@ def test_verify_rejects_oversize_dimension():
     assert main(["verify", "--p", "5", "--n", "3"]) == 2
 
 
+def test_verify_rejects_no_samples(capsys):
+    for samples in ("0", "-3"):
+        assert main(["verify", "--p", "3", "--n", "2", "--samples", samples]) == 2
+        assert capsys.readouterr().err.startswith("error: --samples must be at least 1")
+
+
 def test_verify_rejects_reducible_modulus():
     assert main(["verify", "--p", "3", "--n", "2", "--modulus", "2,0,1"]) == 2
 
@@ -161,10 +167,48 @@ def test_session_config_file(tmp_path, capsys):
     assert summary["config"]["delta_offset"] == 2
 
 
-def test_session_config_conflicts_with_flags(tmp_path, capsys):
+SESSION_FLAG_VALUES = {
+    "--p": "3", "--n": "1", "--modulus": "0,1", "--rounds": "5", "--check-frac": "0.5",
+    "--mode": "swap", "--reps": "2", "--eve": "uniform-all", "--delta": "1", "--b": "1",
+    "--c": "2", "--seed": "5",
+}
+
+
+@pytest.mark.parametrize("flag", list(SESSION_FLAG_VALUES))
+def test_session_config_conflicts_with_flags(tmp_path, capsys, flag):
     cfg_path = tmp_path / "session.json"
     cfg_path.write_text(json.dumps({"field": {"p": 3}, "rounds": 5}))
-    assert main(["session", "--config", str(cfg_path), "--p", "3"]) == 2
+    assert main(["session", "--config", str(cfg_path), flag, SESSION_FLAG_VALUES[flag],
+                 "--out", str(tmp_path / "t.jsonl"), "--stats", str(tmp_path / "s.json")]) == 2
+    assert capsys.readouterr().err == f"error: --config cannot be combined with {flag}\n"
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--p", "7", "--rounds", "40"],
+     {"field": {"p": 7, "n": 1, "modulus": [0, 1]}, "rounds": 40, "check_fraction": 0.1,
+      "mode": "oracle", "swap_repetitions": 1,
+      "eve": {"kind": "none", "picker": "uniform_all", "fixed_basis": None},
+      "delta_offset": 0, "pair_label": None, "seed": 0}),
+    (["--p", "3", "--n", "2", "--modulus", "2,1,1", "--rounds", "60", "--check-frac", "0.4",
+      "--mode", "swap", "--reps", "3", "--eve", "fixed:4", "--delta", "5", "--b", "3", "--c", "7",
+      "--seed", "11"],
+     {"field": {"p": 3, "n": 2, "modulus": [2, 1, 1]}, "rounds": 60, "check_fraction": 0.4,
+      "mode": "swap", "swap_repetitions": 3,
+      "eve": {"kind": "intercept_resend", "picker": "fixed", "fixed_basis": 4},
+      "delta_offset": 5, "pair_label": [3, 7], "seed": 11}),
+], ids=["defaults", "every-flag"])
+def test_session_flags_equal_config(tmp_path, capsys, flags, config):
+    def run(args, tag):
+        out, stats = tmp_path / f"t_{tag}.jsonl", tmp_path / f"s_{tag}.json"
+        code = main(["session", *args, "--out", str(out), "--stats", str(stats)])
+        return code, out.read_bytes(), stats.read_bytes()
+
+    by_flags = run(flags, "flags")
+    assert by_flags[0] in (0, 3)
+    assert json.loads(by_flags[2])["config"] == config
+    cfg_path = tmp_path / "session.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run(["--config", str(cfg_path)], "config") == by_flags
 
 
 def test_session_flag_validation(tmp_path, capsys):
@@ -189,6 +233,9 @@ def test_session_negative_seed_flag(tmp_path, capsys):
     ([{"field": {"p": 3}, "rounds": 5}], "config"),
     ({"field": {"p": 3}, "rounds": 5, "pair_label": [1]}, "pair_label"),
     ({"field": {"p": 3}, "rounds": 5, "seed": -1}, "seed"),
+    ({"field": {"p": 3}, "rounds": 5, "sede": 7, "check_fracton": 0.9}, "sede"),
+    ({"field": {"p": 3}, "rounds": 5, "eve": {"kind": "none", "pickr": "fixed"}}, "eve.pickr"),
+    ({"field": {"p": 3, "degree": 2}, "rounds": 5}, "field: degree"),
 ])
 def test_session_bad_config_is_a_config_error(tmp_path, capsys, doc, path):
     cfg_path = tmp_path / "session.json"

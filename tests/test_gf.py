@@ -1,7 +1,6 @@
 """Field arithmetic: worked examples plus algebraic property checks."""
 
 import dataclasses
-import itertools
 
 import numpy as np
 import pytest
@@ -166,15 +165,6 @@ def test_config_roundtrip():
     assert FieldSpec.from_config({"p": 7}) == GF7
 
 
-@pytest.mark.parametrize("spec", [GF7, GF9, GF25, GF27])
-def test_index_arithmetic_matches_element_arithmetic(spec):
-    elems = spec.elements()
-    for a, b in itertools.product(elems, repeat=2):
-        assert index_add(spec, a.index, b.index) == (a + b).index
-        assert index_sub(spec, a.index, b.index) == (a - b).index
-    assert [index_neg(spec, a.index) for a in elems] == [(-a).index for a in elems]
-
-
 def test_element_is_an_index():
     assert [f.name for f in dataclasses.fields(GfElem)] == ["field", "index"]
     assert GF9.element([4, -1]) == GF9.from_index(7)          # reduced mod p
@@ -208,7 +198,7 @@ def test_from_config_null_takes_the_default():
     assert FieldSpec.from_config({"p": 3, "n": 2, "modulus": [2, 1, 1]}).modulus == (2, 1, 1)
 
 
-@pytest.mark.parametrize("spec", [GF3, GF9, FieldSpec(3, 2, (2, 1, 1)), GF25, GF27])
+@pytest.mark.parametrize("spec", [GF3, GF9, FieldSpec(3, 2, (2, 1, 1)), GF25, GF27, GF7])
 def test_trace_form_matches_element_arithmetic(spec):
     digits, form, squares = index_arrays(spec)
     elems = spec.elements()
