@@ -30,9 +30,18 @@ VERIFY_TOLS = {
 }
 
 
+def _flag_int(flag: str, what: str, text: str) -> int:
+    """text as an int; ValueError naming the flag and the value otherwise."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{flag}: {what} must be an integer, got {text!r}") from None
+
+
 def _field_config(args) -> dict:
     """The "field" object of a config document, from --p, --n and --modulus."""
-    modulus = args.modulus and [int(t) for t in args.modulus.split(",")]
+    modulus = (None if args.modulus is None else
+               [_flag_int("--modulus", "coefficient", t) for t in args.modulus.split(",")])
     return {"p": args.p, "n": args.n, "modulus": modulus}
 
 
@@ -202,7 +211,7 @@ def _parse_eve(text: str) -> dict:
         return {"kind": "intercept_resend", "picker": text.replace("-", "_")}
     if text.startswith("fixed:"):
         return {"kind": "intercept_resend", "picker": "fixed",
-                "fixed_basis": int(text.split(":", 1)[1])}
+                "fixed_basis": _flag_int("--eve", "fixed basis", text.split(":", 1)[1])}
     raise ValueError(f"unknown --eve value {text!r}")
 
 

@@ -158,8 +158,8 @@ class FieldSpec:
         for key in cfg:
             if key not in ("p", "n", "modulus"):
                 raise ValueError(f"{key}: unknown key")
-        n = cfg.get("n")
-        return cls(cfg.get("p"), 1 if n is None else n, cfg.get("modulus") or ())
+        n, modulus = cfg.get("n"), cfg.get("modulus")
+        return cls(cfg.get("p"), 1 if n is None else n, () if modulus is None else modulus)
 
 
 @dataclass(frozen=True)

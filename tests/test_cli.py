@@ -236,6 +236,8 @@ def test_session_negative_seed_flag(tmp_path, capsys):
     ({"field": {"p": 3}, "rounds": 5, "sede": 7, "check_fracton": 0.9}, "sede"),
     ({"field": {"p": 3}, "rounds": 5, "eve": {"kind": "none", "pickr": "fixed"}}, "eve.pickr"),
     ({"field": {"p": 3, "degree": 2}, "rounds": 5}, "field: degree"),
+    ({"field": {"p": 3, "modulus": 0}, "rounds": 5}, "field: modulus"),
+    ({"field": {"p": 3, "modulus": False}, "rounds": 5}, "field: modulus"),
 ])
 def test_session_bad_config_is_a_config_error(tmp_path, capsys, doc, path):
     cfg_path = tmp_path / "session.json"
@@ -244,3 +246,18 @@ def test_session_bad_config_is_a_config_error(tmp_path, capsys, doc, path):
                  "--out", str(tmp_path / "t.jsonl"), "--stats", str(tmp_path / "s.json")])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["session", "--p", "3", "--rounds", "5", "--eve", "fixed:x"],
+     "error: --eve: fixed basis must be an integer, got 'x'\n"),
+    (["session", "--p", "3", "--n", "2", "--rounds", "5", "--modulus", "1,x,1"],
+     "error: --modulus: coefficient must be an integer, got 'x'\n"),
+    (["verify", "--p", "3", "--n", "2", "--modulus", "1,x,1"],
+     "error: --modulus: coefficient must be an integer, got 'x'\n"),
+], ids=["session-eve", "session-modulus", "verify-modulus"])
+def test_flag_parse_errors_name_the_flag(tmp_path, capsys, argv, err):
+    if argv[0] == "session":
+        argv = argv + ["--out", str(tmp_path / "t.jsonl"), "--stats", str(tmp_path / "s.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == err

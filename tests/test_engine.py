@@ -10,7 +10,8 @@ import pytest
 from mubqkd.entangle import PairLabel
 from mubqkd.gf import FieldSpec
 from mubqkd.mub import basis_matrix
-from mubqkd.protocol import EveStrategy, SessionConfig, run_round, run_round_dense, run_session
+from mubqkd.protocol import (Draws, EveStrategy, SessionConfig, run_round, run_round_dense,
+                             run_session)
 
 EVES = {
     "none": lambda d: EveStrategy(),
@@ -21,8 +22,8 @@ EVES = {
 }
 
 
-def _jsonl(round_fn, config):
-    rng = np.random.default_rng(config.seed)
+def _jsonl(round_fn, config, draws=np.random.default_rng):
+    rng = draws(config.seed)
     return [json.dumps(round_fn(config, i, rng).to_json()) for i in range(config.rounds)]
 
 
@@ -40,6 +41,18 @@ def test_label_round_matches_dense_round(spec, eve):
                         if fixed_pair else None),
             seed=seed)
         assert _jsonl(run_round, config) == _jsonl(run_round_dense, config), config
+
+
+@pytest.mark.parametrize("eve", list(EVES))
+@pytest.mark.parametrize("spec", [FieldSpec(7, 1), FieldSpec(3, 2)], ids=lambda s: f"d{s.d}")
+def test_label_round_on_draws_matches_dense_round(spec, eve):
+    d = spec.d
+    for (mode, reps), seed in itertools.product([("oracle", 1), ("swap", 3)], [1, 2]):
+        config = SessionConfig(field=spec, rounds=120, check_fraction=0.3, mode=mode,
+                               swap_repetitions=reps, eve=EVES[eve](d), seed=seed)
+        dense = _jsonl(run_round_dense, config)
+        assert _jsonl(run_round, config, Draws) == dense, config
+        assert _jsonl(run_round_dense, config, Draws) == dense, config
 
 
 def test_d729_session_runs_without_dense_matrices():

@@ -11,8 +11,8 @@ from mubqkd.gf import FieldSpec
 from mubqkd.hilbert import born_sample
 from mubqkd.mub import BasisId, MubLabel, basis_matrix, mub_state
 from mubqkd.entangle import PairLabel, entangled_mub, measure_first
-from mubqkd.protocol import (EveStrategy, RoundRecord, SessionConfig,
-                             alice_encode, bob_decode, eavesdropper_detected,
+from mubqkd.protocol import (Draws, EveStrategy, RoundRecord, SessionConfig,
+                             _uniform_outcome, alice_encode, bob_decode, eavesdropper_detected,
                              run_cv_round, run_round, run_session, summarize)
 
 GF3 = FieldSpec(3, 1)
@@ -261,6 +261,45 @@ def test_detection_thresholds():
     assert eavesdropper_detected(100, 100) is False
     assert eavesdropper_detected(50, 100) is True
     assert eavesdropper_detected(0, 10) is True
+
+
+# ---------------------------------------------------------------------------
+# the session's variate stream
+# ---------------------------------------------------------------------------
+
+DRAW_HIGHS = [1, 2, 3, 7, 243, 244, 2 ** 31 + 1, 3 * 2 ** 30, 2 ** 32 - 1, 2 ** 32]
+
+
+def test_draws_match_generator():
+    for seed in range(100):
+        draws, gen = Draws(seed), np.random.default_rng(seed)
+        calls = np.random.default_rng(10_000 + seed).integers(len(DRAW_HIGHS) + 1, size=500)
+        for k in calls.tolist():
+            if k == len(DRAW_HIGHS):
+                assert draws.random() == gen.random()
+            else:
+                high = DRAW_HIGHS[k]
+                assert draws.integers(high) == int(gen.integers(high)), (seed, high)
+    with pytest.raises(ValueError):
+        Draws(0).integers(2 ** 32 + 1)
+
+
+class _FixedVariate:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@pytest.mark.parametrize("d", [3, 7, 243, 3 ** 10])
+def test_uniform_outcome_matches_searchsorted(d):
+    cdf = np.cumsum(np.full(d, 1.0 / d))
+    us = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), [0.0],
+                         np.random.default_rng(d).random(2000)])
+    us = us[us < 1.0]
+    expect = np.minimum(cdf.searchsorted(us, side="right"), d - 1)
+    assert [_uniform_outcome(d, _FixedVariate(u)) for u in us.tolist()] == expect.tolist()
 
 
 # ---------------------------------------------------------------------------
