@@ -17,6 +17,6 @@ from .phasespace import (CvLabel, CvLine, DiscreteWigner, LineIntersection,
 from .protocol import (EveStrategy, RoundRecord, SessionConfig, Transcript,
                        alice_encode, bob_decode, eavesdropper_detected,
                        run_cv_round, run_round, run_round_dense, run_session,
-                       summarize)
+                       session_records, session_summary, summarize)
 
 __version__ = "0.1.0"

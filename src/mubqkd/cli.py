@@ -20,14 +20,10 @@ from .gf import FieldSpec
 from .hilbert import project_first
 from .mub import BasisId, MubLabel, all_bases, basis_matrix, mub_state, unbiasedness_report
 from .phasespace import dwigner1, dwigner2_support
-from .protocol import SessionConfig, run_session
+from .protocol import SessionConfig, session_records, session_summary
 
-VERIFY_TOLS = {
-    "projection": 1e-12,
-    "projection_norm": 1e-12,
-    "shift": 1e-12,
-    "epr": 1e-12,
-}
+# Largest deviation verify accepts in the projection, shift and EPR checks.
+VERIFY_TOL = 1e-12
 
 
 def _flag_int(flag: str, what: str, text: str) -> int:
@@ -124,10 +120,7 @@ def _verify_report(spec: FieldSpec, samples: int, seed: int) -> dict:
     }
     report["ok"] = bool(
         rep.basis_count == d + 1 and rep.ok()
-        and proj_dev < VERIFY_TOLS["projection"]
-        and proj_norm_dev < VERIFY_TOLS["projection_norm"]
-        and shift_dev < VERIFY_TOLS["shift"]
-        and epr_dev < VERIFY_TOLS["epr"]
+        and all(dev < VERIFY_TOL for dev in (proj_dev, proj_norm_dev, shift_dev, epr_dev))
         and additivity and repeatable)
     return report
 
@@ -237,16 +230,24 @@ def _session_config(args) -> SessionConfig:
         "seed": args.seed})
 
 
+def _written(records, fh):
+    """records, each written to fh as its JSON line on the way through."""
+    for rec in records:
+        fh.write(rec.to_jsonl())
+        yield rec
+
+
 def cmd_session(args) -> int:
     config = _session_config(args)
-    transcript = run_session(config)
-    if not args.no_transcript:
+    # Records are written and counted as they are made; none is kept.
+    records = session_records(config)
+    if args.no_transcript:
+        s = session_summary(config, records)
+    else:
         with open(args.out, "w") as fh:
-            for rec in transcript.records:
-                fh.write(json.dumps(rec.to_json()) + "\n")
+            s = session_summary(config, _written(records, fh))
     with open(args.stats, "w") as fh:
-        fh.write(json.dumps(transcript.summary, indent=2) + "\n")
-    s = transcript.summary
+        fh.write(json.dumps(s, indent=2) + "\n")
 
     def fmt(x):
         return "n/a" if x is None else f"{x:.6f}"

@@ -15,7 +15,10 @@ eavesdropper cannot condition on it:
   Bob measures it projectively in basis b2 and records pass/fail.
 
 Sessions are deterministic functions of their seed; transcripts persist
-as JSON Lines plus a single summary document.
+as JSON Lines plus a single summary document.  session_records yields the
+rounds one at a time, RoundRecord.to_jsonl writes a record's line directly,
+and summarize counts in one pass, so a session streamed to its transcript
+holds one record at a time; run_session keeps them all, for library use.
 
 run_round plays a round on MUB labels alone: every state is a pair
 (basis index, c index), basis index d being the computational basis, and
@@ -25,7 +28,7 @@ plays the same round on dense state vectors.  Both draw the same variates
 in the same order, so they write the same records; the dense round is the
 physics reference that the label round is tested against.
 
-Either round takes any rng with random() and integers(high).  run_session
+Either round takes any rng with random() and integers(high).  A session
 passes a Draws, which yields the variates of np.random.default_rng(seed)
 draw for draw from blocks of raw PCG64 words, at a fraction of numpy's cost
 per call; a uniform outcome is one random() and an O(1) lookup in a cached
@@ -35,8 +38,9 @@ cdf of 8*d bytes.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -220,22 +224,26 @@ class RoundRecord:
     check_passed: bool | None
 
     def to_json(self) -> dict:
-        return {
-            "round": self.round,
-            "kind": self.kind,
-            "bit_sent": self.bit_sent,
-            "lambda": self.lam,
-            "b1": self.b1,
-            "c1": self.c1,
-            "c1p": self.c1p,
-            "eve_basis": self.eve_basis,
-            "eve_outcome": self.eve_outcome,
-            "decoded": self.decoded,
-            "check_b2": self.check_b2,
-            "check_expected": self.check_expected,
-            "check_measured": self.check_measured,
-            "check_passed": self.check_passed,
-        }
+        return {"lambda" if f.name == "lam" else f.name: getattr(self, f.name)
+                for f in fields(self)}
+
+    def to_jsonl(self) -> str:
+        """json.dumps(self.to_json()) + "\\n", byte for byte, without building
+        the dict; kind is "message" or "check", every other value an int, a
+        list of ints, a bool or None."""
+        eve = self.eve_outcome
+        passed = self.check_passed
+        return (f'{{"round": {self.round}, "kind": "{self.kind}", '
+                f'"bit_sent": {"null" if self.bit_sent is None else self.bit_sent}, '
+                f'"lambda": {"null" if self.lam is None else self.lam}, '
+                f'"b1": {self.b1}, "c1": {self.c1}, "c1p": {self.c1p}, '
+                f'"eve_basis": {"null" if self.eve_basis is None else self.eve_basis}, '
+                f'"eve_outcome": {"null" if eve is None else "[" + ", ".join(map(str, eve)) + "]"}, '
+                f'"decoded": {"null" if self.decoded is None else self.decoded}, '
+                f'"check_b2": {"null" if self.check_b2 is None else self.check_b2}, '
+                f'"check_expected": {"null" if self.check_expected is None else self.check_expected}, '
+                f'"check_measured": {"null" if self.check_measured is None else self.check_measured}, '
+                f'"check_passed": {"null" if passed is None else "true" if passed else "false"}}}\n')
 
 
 @dataclass
@@ -507,30 +515,49 @@ def eavesdropper_detected(passes: int, n_check: int) -> bool:
     return rate < 1.0 - eps
 
 
-def summarize(records: list[RoundRecord]) -> dict:
-    """Session statistics, recomputable from the round records alone."""
-    msg = [r for r in records if r.kind == "message"]
-    chk = [r for r in records if r.kind == "check"]
-    bit_errors = sum(1 for r in msg if r.decoded != r.bit_sent)
-    passes = sum(1 for r in chk if r.check_passed)
+def summarize(records: Iterable[RoundRecord]) -> dict:
+    """Session statistics, recomputable from the round records alone, counted
+    in one pass over any iterable of them."""
+    rounds = n_msg = n_chk = bit_errors = passes = 0
+    for r in records:
+        rounds += 1
+        if r.kind == "message":
+            n_msg += 1
+            if r.decoded != r.bit_sent:
+                bit_errors += 1
+        elif r.kind == "check":
+            n_chk += 1
+            if r.check_passed:
+                passes += 1
     return {
-        "rounds": len(records),
-        "message_rounds": len(msg),
-        "check_rounds": len(chk),
+        "rounds": rounds,
+        "message_rounds": n_msg,
+        "check_rounds": n_chk,
         "bit_errors": bit_errors,
-        "bit_error_rate": bit_errors / len(msg) if msg else None,
+        "bit_error_rate": bit_errors / n_msg if n_msg else None,
         "check_passes": passes,
-        "check_pass_rate": passes / len(chk) if chk else None,
-        "eavesdropper_detected": eavesdropper_detected(passes, len(chk)),
+        "check_pass_rate": passes / n_chk if n_chk else None,
+        "eavesdropper_detected": eavesdropper_detected(passes, n_chk),
     }
 
 
-def run_session(config: SessionConfig) -> Transcript:
-    """Run all rounds on a stream seeded only by the config seed."""
+def session_records(config: SessionConfig) -> Iterator[RoundRecord]:
+    """The session's rounds in order, each played when it is asked for, on a
+    stream seeded only by the config seed."""
     rng = Draws(config.seed)
-    records = [run_round(config, i, rng) for i in range(config.rounds)]
-    summary = {"v": 1, "config": config.to_json(), **summarize(records)}
-    return Transcript(config=config, records=records, summary=summary)
+    for i in range(config.rounds):
+        yield run_round(config, i, rng)
+
+
+def session_summary(config: SessionConfig, records: Iterable[RoundRecord]) -> dict:
+    """The summary document: schema version, the config and summarize(records)."""
+    return {"v": 1, "config": config.to_json(), **summarize(records)}
+
+
+def run_session(config: SessionConfig) -> Transcript:
+    """All rounds of session_records, kept in memory, and their summary."""
+    records = list(session_records(config))
+    return Transcript(config=config, records=records, summary=session_summary(config, records))
 
 
 def run_cv_round(bit: int, rng, b: float | None = None, c: float | None = None,

@@ -1,10 +1,12 @@
 """CLI surface: exit codes, CSV dumps, transcripts, reproducibility."""
 
 import json
+import tracemalloc
 
 import pytest
 
 from mubqkd.cli import main
+from mubqkd.protocol import SessionConfig, run_session
 
 
 def test_verify_clean_field(capsys):
@@ -144,6 +146,33 @@ def test_session_no_transcript(tmp_path, capsys):
     assert code == 0
     assert not out.exists()
     assert stats.exists()
+
+
+def test_session_streams_what_run_session_returns(tmp_path, capsys):
+    out, stats = tmp_path / "t.jsonl", tmp_path / "s.json"
+    code = main(["session", "--p", "3", "--n", "2", "--rounds", "300", "--check-frac", "0.4",
+                 "--mode", "swap", "--reps", "2", "--eve", "uniform-all", "--seed", "13",
+                 "--out", str(out), "--stats", str(stats)])
+    t = run_session(SessionConfig.from_json(json.loads(stats.read_text())["config"]))
+    assert code == (3 if t.summary["eavesdropper_detected"] else 0)
+    assert out.read_text() == "".join(json.dumps(rec.to_json()) + "\n" for rec in t.records)
+    assert stats.read_text() == json.dumps(t.summary, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("sink", ["--no-transcript", "--out"])
+def test_session_memory_is_bounded(tmp_path, capsys, sink):
+    import numpy.random  # noqa: F401  (imported lazily; not session memory)
+    argv = ["session", "--p", "7", "--mode", "swap", "--reps", "2", "--rounds", "20000",
+            "--stats", str(tmp_path / "s.json")]
+    argv += [sink] if sink == "--no-transcript" else [sink, str(tmp_path / "t.jsonl")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a kept record costs about 250 bytes, so 20000 of them would be near 5 MiB
+    assert peak < 2 ** 20
 
 
 def test_session_config_file(tmp_path, capsys):

@@ -13,7 +13,8 @@ from mubqkd.mub import BasisId, MubLabel, basis_matrix, mub_state
 from mubqkd.entangle import PairLabel, entangled_mub, measure_first
 from mubqkd.protocol import (Draws, EveStrategy, RoundRecord, SessionConfig,
                              _uniform_outcome, alice_encode, bob_decode, eavesdropper_detected,
-                             run_cv_round, run_round, run_session, summarize)
+                             run_cv_round, run_round, run_session, session_records,
+                             summarize)
 
 GF3 = FieldSpec(3, 1)
 GF7 = FieldSpec(7, 1)
@@ -214,6 +215,43 @@ def test_record_json_schema():
     for rec in t.records:
         assert list(rec.to_json().keys()) == JSONL_FIELDS
         json.dumps(rec.to_json())
+
+
+def _hand_built(**values) -> RoundRecord:
+    base = dict(round=0, kind="message", bit_sent=None, lam=None, b1=0, c1=0, c1p=0,
+                eve_basis=None, eve_outcome=None, decoded=None, check_b2=None,
+                check_expected=None, check_measured=None, check_passed=None)
+    return RoundRecord(**{**base, **values})
+
+
+def test_jsonl_encoder_matches_json_dumps():
+    configs = [
+        SessionConfig(field=GF7, rounds=300, check_fraction=0.3, mode="swap",
+                      swap_repetitions=1, seed=41),
+        SessionConfig(field=FieldSpec(3, 5), rounds=300, check_fraction=0.5, mode="swap",
+                      eve=EveStrategy("intercept_resend", "uniform_all"), seed=43),
+    ]
+    records = [rec for cfg in configs for rec in session_records(cfg)]
+    records += [
+        _hand_built(round=123456, bit_sent=1, lam=242, b1=240, c1=101, c1p=7, eve_basis=243,
+                    eve_outcome=[0, 242], decoded=0),
+        _hand_built(kind="check", b1=10, c1=11, c1p=12, eve_basis=3, eve_outcome=[],
+                    check_b2=1, check_expected=0, check_measured=2, check_passed=False),
+        _hand_built(kind="check", check_b2=0, check_expected=0, check_measured=0,
+                    check_passed=True),
+    ]
+    for rec in records:
+        assert rec.to_jsonl() == json.dumps(rec.to_json()) + "\n"
+    # every shape of record occurs above
+    shapes = {(r.kind, r.eve_outcome is None, r.bit_sent, r.decoded, r.check_passed)
+              for r in records}
+    for shape in [("message", True, 0, 0, None), ("message", True, 1, 1, None),
+                  ("message", False, 0, 0, None), ("message", False, 0, 1, None),
+                  ("message", False, 1, 0, None), ("message", False, 1, 1, None),
+                  ("check", True, None, None, True), ("check", False, None, None, True),
+                  ("check", False, None, None, False)]:
+        assert shape in shapes
+    assert any(r.c1 >= 100 and r.eve_outcome and min(r.eve_outcome) >= 10 for r in records)
 
 
 def test_config_validation():
