@@ -15,8 +15,8 @@ from .phasespace import (CvLabel, CvLine, DiscreteWigner, LineIntersection,
                          dwigner1, dwigner2_support, label_of_line,
                          line_of_label)
 from .protocol import (EveStrategy, RoundRecord, SessionConfig, Transcript,
-                       alice_encode, bob_decode, eavesdropper_detected,
-                       run_cv_round, run_round, run_round_dense, run_session,
-                       session_records, session_summary, summarize)
+                       eavesdropper_detected, run_cv_round, run_round,
+                       run_round_dense, run_session, session_records,
+                       session_summary, summarize)
 
 __version__ = "0.1.0"

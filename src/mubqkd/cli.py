@@ -216,7 +216,10 @@ def _session_config(args) -> SessionConfig:
         if given:
             raise ValueError(f"--config cannot be combined with {', '.join(given)}")
         with open(args.config) as fh:
-            return SessionConfig.from_json(json.load(fh))
+            try:
+                return SessionConfig.from_json(json.load(fh))
+            except RecursionError:
+                raise ValueError("--config: document nested too deeply") from None
     if args.p is None or args.rounds is None:
         raise ValueError("session needs --p and --rounds (or --config)")
     if (args.b is None) != (args.c is None):

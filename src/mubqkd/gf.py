@@ -80,10 +80,11 @@ def find_irreducible(p: int, n: int) -> tuple[int, ...]:
     """Smallest monic irreducible of degree n over GF(p).
 
     Candidates are scanned in ascending order with the constant term
-    varying fastest, so the result is deterministic.
+    varying fastest (the base-p digits of k, low-order first, for k = 0, 1,
+    ...), so the result is deterministic; none is built before it is tried.
     """
-    for tail in itertools.product(range(p), repeat=n):
-        cand = tail[::-1] + (1,)
+    for k in range(p ** n):
+        cand = tuple(k // p ** i % p for i in range(n)) + (1,)
         if is_irreducible(cand, p):
             return cand
     raise AssertionError("monic irreducibles exist for every degree")

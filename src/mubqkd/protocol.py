@@ -139,11 +139,20 @@ class SessionConfig:
     mode: str = "oracle"
     swap_repetitions: int = 1
     eve: EveStrategy = dc_field(default_factory=EveStrategy)
-    delta_offset: GfElem | None = None     # None means zero offset
-    pair_label: PairLabel | None = None    # None means a fresh random label per round
+    delta_offset: int = 0                      # an element index
+    pair_label: tuple[int, int] | None = None  # (b, c) indices; None: a fresh one per round
     seed: int = 0
 
     def __post_init__(self):
+        # labels are canonical element indices, checked as GfElem checks them
+        with _at("delta_offset"):
+            object.__setattr__(self, "delta_offset", self.field.from_index(self.delta_offset).index)
+        if self.pair_label is not None:
+            if len(self.pair_label) != 2:
+                raise ValueError(f"pair_label: expected [b, c], got {len(self.pair_label)} entries")
+            with _at("pair_label"):
+                object.__setattr__(self, "pair_label",
+                                   tuple(self.field.from_index(k).index for k in self.pair_label))
         if self.rounds < 1:
             raise ValueError(f"rounds must be at least 1, got {self.rounds}")
         if not 0.0 <= self.check_fraction <= 1.0:
@@ -154,13 +163,6 @@ class SessionConfig:
             raise ValueError("swap_repetitions must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed: expected a non-negative integer, got {self.seed}")
-        delta = self.delta_offset if self.delta_offset is not None else self.field.zero()
-        if delta.field != self.field:
-            raise ValueError("delta_offset belongs to a different field spec")
-        object.__setattr__(self, "delta_offset", delta)
-        if self.pair_label is not None:
-            if self.pair_label.b.field != self.field or self.pair_label.c.field != self.field:
-                raise ValueError("pair_label belongs to a different field spec")
         if self.eve.kind == "intercept_resend" and self.eve.picker == "fixed":
             if not 0 <= self.eve.fixed_basis <= self.field.d:
                 raise ValueError(f"fixed eavesdropper basis index outside [0, {self.field.d}]")
@@ -173,9 +175,8 @@ class SessionConfig:
             "mode": self.mode,
             "swap_repetitions": self.swap_repetitions,
             "eve": self.eve.to_json(),
-            "delta_offset": self.delta_offset.index,
-            "pair_label": ([self.pair_label.b.index, self.pair_label.c.index]
-                           if self.pair_label is not None else None),
+            "delta_offset": self.delta_offset,
+            "pair_label": None if self.pair_label is None else list(self.pair_label),
             "seed": self.seed,
         }
 
@@ -188,40 +189,35 @@ class SessionConfig:
             if key not in values:
                 raise ValueError(f"{key}: missing")
         with _at("field"):
-            spec = values["field"] = FieldSpec.from_config(values["field"])
+            values["field"] = FieldSpec.from_config(values["field"])
         if "eve" in values:
             values["eve"] = EveStrategy.from_json(values["eve"])
-        if "delta_offset" in values:
-            with _at("delta_offset"):
-                values["delta_offset"] = spec.from_index(values["delta_offset"])
         if "pair_label" in values:
-            pair = values["pair_label"]
-            if len(pair) != 2:
-                raise ValueError(f"pair_label: expected [b, c], got {len(pair)} entries")
-            b, c = (_json_check(x, int, f"pair_label[{i}]") for i, x in enumerate(pair))
-            with _at("pair_label"):
-                values["pair_label"] = PairLabel(spec.from_index(b), spec.from_index(c))
+            values["pair_label"] = tuple(_json_check(x, int, f"pair_label[{i}]")
+                                         for i, x in enumerate(values["pair_label"]))
         return cls(**values)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RoundRecord:
-    """One protocol round; field values are canonical integer indices."""
+    """One protocol round; field values are canonical integer indices.  A
+    field that only message or only check rounds fill, or only rounds with
+    an eavesdropper, is None in the others."""
 
     round: int
     kind: str
-    bit_sent: int | None
-    lam: int | None
+    bit_sent: int | None = None
+    lam: int | None = None
     b1: int
     c1: int
     c1p: int
-    eve_basis: int | None
-    eve_outcome: list[int] | None
-    decoded: int | None
-    check_b2: int | None
-    check_expected: int | None
-    check_measured: int | None
-    check_passed: bool | None
+    eve_basis: int | None = None
+    eve_outcome: list[int] | None = None
+    decoded: int | None = None
+    check_b2: int | None = None
+    check_expected: int | None = None
+    check_measured: int | None = None
+    check_passed: bool | None = None
 
     def to_json(self) -> dict:
         return {"lambda" if f.name == "lam" else f.name: getattr(self, f.name)
@@ -312,7 +308,7 @@ class Draws:
         return m >> 32
 
 
-def alice_encode(bit: int, c1: GfElem, c1p: GfElem, delta: GfElem, rng) -> GfElem:
+def _alice_encode(bit: int, c1: GfElem, c1p: GfElem, delta: GfElem, rng) -> GfElem:
     """Announcement value: the matching shift for bit 1, uniformly any of
     the d-1 other field values for bit 0."""
     spec = c1.field
@@ -326,8 +322,8 @@ def _announce(bit: int, match: int, d: int, rng) -> int:
     return k + 1 if k >= match else k
 
 
-def bob_decode(state2: np.ndarray, state2p: np.ndarray, lam: GfElem,
-               mode: str, reps: int, rng) -> int:
+def _bob_decode(state2: np.ndarray, state2p: np.ndarray, lam: GfElem,
+                mode: str, reps: int, rng) -> int:
     """Shift the second state by lam and compare with the first.
 
     oracle mode decides from the exact overlap magnitude; swap mode runs
@@ -386,7 +382,7 @@ def _measure(state: tuple[int, int], basis: int, d: int, rng) -> int:
 
 def _compare(spec: FieldSpec, state2: tuple[int, int], state2p: tuple[int, int], lam: int,
              mode: str, reps: int, rng) -> int:
-    """bob_decode on labels: shift the second state by lam, compare with the first.
+    """_bob_decode on labels: shift the second state by lam, compare with the first.
 
     The squared overlap of two MUB states is 1 for equal labels, 0 for
     other states of one basis and 1/d across bases.  A shift changes no
@@ -405,15 +401,6 @@ def _compare(spec: FieldSpec, state2: tuple[int, int], state2p: tuple[int, int],
     return 1
 
 
-def _new_record(round_index: int, kind: str, b1: int, c1: int, c1p: int,
-                eve_basis: int | None, eve_outcome: list[int] | None) -> RoundRecord:
-    return RoundRecord(round=round_index, kind=kind, bit_sent=None, lam=None,
-                       b1=b1, c1=c1, c1p=c1p,
-                       eve_basis=eve_basis, eve_outcome=eve_outcome, decoded=None,
-                       check_b2=None, check_expected=None,
-                       check_measured=None, check_passed=None)
-
-
 def run_round(config: SessionConfig, round_index: int, rng) -> RoundRecord:
     """One round on MUB labels; the same draws and record as run_round_dense."""
     spec = config.field
@@ -422,8 +409,8 @@ def run_round(config: SessionConfig, round_index: int, rng) -> RoundRecord:
         b = int(rng.integers(d))
         c = int(rng.integers(d))
     else:
-        b, c = config.pair_label.b.index, config.pair_label.c.index
-    delta = config.delta_offset.index
+        b, c = config.pair_label
+    delta = config.delta_offset
 
     # Alice's outcomes are uniform in every basis; Bob's particles collapse
     # to (b - b1, c - c1) and (b - b1, c - delta - c1p).
@@ -442,7 +429,8 @@ def run_round(config: SessionConfig, round_index: int, rng) -> RoundRecord:
 
     # duty assigned only after transit
     kind = "check" if rng.random() < config.check_fraction else "message"
-    rec = _new_record(round_index, kind, b1, c1, c1p, eve_basis, eve_outcome)
+    rec = RoundRecord(round=round_index, kind=kind, b1=b1, c1=c1, c1p=c1p,
+                      eve_basis=eve_basis, eve_outcome=eve_outcome)
     if kind == "message":
         bit = int(rng.integers(2))
         rec.bit_sent = bit
@@ -465,8 +453,8 @@ def run_round_dense(config: SessionConfig, round_index: int, rng) -> RoundRecord
         b = spec.from_index(int(rng.integers(d)))
         c = spec.from_index(int(rng.integers(d)))
     else:
-        b, c = config.pair_label.b, config.pair_label.c
-    delta = config.delta_offset
+        b, c = (spec.from_index(k) for k in config.pair_label)
+    delta = spec.from_index(config.delta_offset)
     pair1 = entangled_mub(spec, PairLabel(b, c))
     pair2 = entangled_mub(spec, PairLabel(b, c - delta))
 
@@ -486,15 +474,15 @@ def run_round_dense(config: SessionConfig, round_index: int, rng) -> RoundRecord
     # duty assigned only after transit
     kind = "check" if rng.random() < config.check_fraction else "message"
 
-    rec = _new_record(round_index, kind, b1.b.index, c1.index, c1p.index,
-                      eve_basis, eve_outcome)
+    rec = RoundRecord(round=round_index, kind=kind, b1=b1.b.index, c1=c1.index,
+                      c1p=c1p.index, eve_basis=eve_basis, eve_outcome=eve_outcome)
 
     if kind == "message":
         bit = int(rng.integers(2))
-        lam = alice_encode(bit, c1, c1p, delta, rng)
+        lam = _alice_encode(bit, c1, c1p, delta, rng)
         rec.bit_sent = bit
         rec.lam = lam.index
-        rec.decoded = bob_decode(bob1, bob2, lam, config.mode, config.swap_repetitions, rng)
+        rec.decoded = _bob_decode(bob1, bob2, lam, config.mode, config.swap_repetitions, rng)
     else:
         b2 = b - b1.b
         expected = c - c1

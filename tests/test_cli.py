@@ -1,9 +1,11 @@
 """CLI surface: exit codes, CSV dumps, transcripts, reproducibility."""
 
 import json
+import math
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mubqkd.cli import main
 from mubqkd.protocol import SessionConfig, run_session
@@ -267,6 +269,11 @@ def test_session_negative_seed_flag(tmp_path, capsys):
     ({"field": {"p": 3, "degree": 2}, "rounds": 5}, "field: degree"),
     ({"field": {"p": 3, "modulus": 0}, "rounds": 5}, "field: modulus"),
     ({"field": {"p": 3, "modulus": False}, "rounds": 5}, "field: modulus"),
+    ({"field": {"p": 3}, "rounds": 5, "pair_label": [1, 2, 3]}, "pair_label"),
+    ({"field": {"p": 3}, "rounds": 5, "pair_label": [0, 3]}, "pair_label"),
+    ({"field": {"p": 3}, "rounds": 5, "pair_label": [-1, 0]}, "pair_label"),
+    ({"field": {"p": 3}, "rounds": 5, "delta_offset": 3}, "delta_offset"),
+    ({"field": {"p": 3}, "rounds": 5, "delta_offset": -1}, "delta_offset"),
 ])
 def test_session_bad_config_is_a_config_error(tmp_path, capsys, doc, path):
     cfg_path = tmp_path / "session.json"
@@ -275,6 +282,72 @@ def test_session_bad_config_is_a_config_error(tmp_path, capsys, doc, path):
                  "--out", str(tmp_path / "t.jsonl"), "--stats", str(tmp_path / "s.json")])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_session_deeply_nested_config_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "session.json"
+    cfg_path.write_text("[" * 100_000 + "]" * 100_000)
+    code = main(["session", "--config", str(cfg_path), "--no-transcript",
+                 "--stats", str(tmp_path / "s.json")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --config: document nested too deeply\n"
+
+
+# Small JSON values of every kind, with the NaN and infinities json reads.
+_SMALL_INTS = st.integers(-3, 12)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _SMALL_INTS | st.text(max_size=3)
+    | st.floats(-3, 12) | st.sampled_from([math.nan, math.inf, -math.inf]),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids,
+                                                              max_size=3),
+    max_leaves=6)
+
+
+def _docs(required: dict, optional: dict):
+    """Objects with these keys, each value drawn from its strategy; in about
+    one of four, one key, known or not, is set to any small JSON value."""
+    keys = st.sampled_from([*required, *optional]) | st.text(max_size=4)
+    return st.builds(lambda doc, edit, key, value: {**doc, key: value} if edit else doc,
+                     st.fixed_dictionaries(required, optional=optional),
+                     st.sampled_from([False, False, False, True]), keys, _JSON)
+
+
+# Well-typed values mostly in range; _docs adds the wrong types and the rest.
+_FIELD_DOCS = _docs({"p": st.sampled_from([3, 5, 7, 11])},
+                    {"n": st.integers(1, 3),
+                     "modulus": st.sampled_from([[0, 1], [1, 0, 1], [2, 1, 1], [1, 2, 0, 1]])}
+                    ).filter(lambda f: not (type(f.get("n")) is int and f["n"] > 3))
+_EVE_DOCS = _docs({"kind": st.sampled_from(["none", "intercept_resend"])},
+                  {"picker": st.sampled_from(["fixed", "uniform_quadratic", "uniform_all"]),
+                   "fixed_basis": _SMALL_INTS})
+_CONFIG_DOCS = _docs({"field": _FIELD_DOCS, "rounds": st.integers(1, 20)},
+                     {"check_fraction": st.floats(0, 1),
+                      "mode": st.sampled_from(["oracle", "swap"]),
+                      "swap_repetitions": st.integers(1, 4), "eve": _EVE_DOCS,
+                      "delta_offset": st.integers(0, 4),
+                      "pair_label": st.lists(st.integers(0, 4), min_size=2, max_size=2),
+                      "seed": st.integers(0, 12)})
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(doc=_JSON | _CONFIG_DOCS)
+def test_any_config_document_runs_or_is_a_config_error(tmp_path, capsys, doc):
+    """Every JSON document either runs a session (0 or 3) or exits 2 with
+    an error line; no exception escapes main.
+
+    Integers stay in [-3, 20] and n at most 3: d is at most 11^3, rounds at
+    most 20 and swap repetitions at most 12.  Sessions have no size limit
+    yet, so a large d, round count or repetition count would make a correct
+    program slow, not wrong.
+    """
+    cfg_path = tmp_path / "session.json"
+    cfg_path.write_text(json.dumps(doc))
+    code = main(["session", "--config", str(cfg_path), "--no-transcript",
+                 "--stats", str(tmp_path / "s.json")])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    assert (code == 2) == err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv, err", [

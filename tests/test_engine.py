@@ -7,7 +7,6 @@ import json
 import numpy as np
 import pytest
 
-from mubqkd.entangle import PairLabel
 from mubqkd.gf import FieldSpec
 from mubqkd.mub import basis_matrix
 from mubqkd.protocol import (Draws, EveStrategy, SessionConfig, run_round, run_round_dense,
@@ -36,9 +35,8 @@ def test_label_round_matches_dense_round(spec, eve):
             [("oracle", 1), ("swap", 3)], [0, d - 1], [False, True], [1, 2]):
         config = SessionConfig(
             field=spec, rounds=120, check_fraction=0.3, mode=mode, swap_repetitions=reps,
-            eve=EVES[eve](d), delta_offset=spec.from_index(delta),
-            pair_label=(PairLabel(spec.from_index(1), spec.from_index(d - 1))
-                        if fixed_pair else None),
+            eve=EVES[eve](d), delta_offset=delta,
+            pair_label=(1, d - 1) if fixed_pair else None,
             seed=seed)
         assert _jsonl(run_round, config) == _jsonl(run_round_dense, config), config
 

@@ -1,6 +1,8 @@
 """Field arithmetic: worked examples plus algebraic property checks."""
 
 import dataclasses
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +31,25 @@ def test_find_irreducible_results_are_irreducible():
         poly = find_irreducible(p, n)
         assert len(poly) == n + 1 and poly[-1] == 1
         assert is_irreducible(poly, p)
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 1),
+                                  (5, 2), (5, 3), (7, 2), (11, 2)])
+def test_find_irreducible_scans_in_product_order(p, n):
+    # the scan order the default moduli were first chosen in
+    tails = (tail[::-1] + (1,) for tail in itertools.product(range(p), repeat=n))
+    assert find_irreducible(p, n) == next(t for t in tails if is_irreducible(t, p))
+
+
+def test_large_prime_field_needs_no_candidate_table():
+    tracemalloc.start()
+    try:
+        assert FieldSpec(1000003, 1).modulus == (0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the first candidate, x, is irreducible; a table of the p digits is ~38 MiB
+    assert peak < 2 ** 20
 
 
 def test_is_prime():

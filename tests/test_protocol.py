@@ -12,7 +12,7 @@ from mubqkd.hilbert import born_sample
 from mubqkd.mub import BasisId, MubLabel, basis_matrix, mub_state
 from mubqkd.entangle import PairLabel, entangled_mub, measure_first
 from mubqkd.protocol import (Draws, EveStrategy, RoundRecord, SessionConfig,
-                             _uniform_outcome, alice_encode, bob_decode, eavesdropper_detected,
+                             _alice_encode, _bob_decode, _uniform_outcome, eavesdropper_detected,
                              run_cv_round, run_round, run_session, session_records,
                              summarize)
 
@@ -34,7 +34,7 @@ def _q_state(spec, b, c):
 
 def test_alice_encode_bit_one_example():
     rng = np.random.default_rng(0)
-    lam = alice_encode(1, GF3.from_index(2), GF3.from_index(0), GF3.zero(), rng)
+    lam = _alice_encode(1, GF3.from_index(2), GF3.from_index(0), GF3.zero(), rng)
     assert lam.index == 1          # 0 - 2 = 1 mod 3
 
 
@@ -44,7 +44,7 @@ def test_alice_encode_bit_zero_never_matches():
         c1, c1p, delta = (GF3.from_index(k) for k in (ic1, ic1p, idelta))
         match = c1p - c1 + delta
         for _ in range(30):
-            assert alice_encode(0, c1, c1p, delta, rng) != match
+            assert _alice_encode(0, c1, c1p, delta, rng) != match
 
 
 def test_alice_encode_bit_zero_uniform():
@@ -55,7 +55,7 @@ def test_alice_encode_bit_zero_uniform():
     counts = np.zeros(7)
     n = 6000
     for _ in range(n):
-        counts[alice_encode(0, c1, c1p, delta, rng).index] += 1
+        counts[_alice_encode(0, c1, c1p, delta, rng).index] += 1
     assert counts[match.index] == 0
     sigma = np.sqrt((1 / 6) * (5 / 6) / n)
     others = np.delete(counts, match.index) / n
@@ -67,16 +67,16 @@ def test_bob_decode_matching_lambda():
     state2 = _q_state(GF3, 1, 2)
     state2p = _q_state(GF3, 1, 0)
     lam = GF3.from_index(2)        # shifts c = 0 to c = 2
-    assert bob_decode(state2, state2p, lam, "oracle", 1, rng) == 1
+    assert _bob_decode(state2, state2p, lam, "oracle", 1, rng) == 1
     for _ in range(50):
-        assert bob_decode(state2, state2p, lam, "swap", 1, rng) == 1
+        assert _bob_decode(state2, state2p, lam, "swap", 1, rng) == 1
 
 
 def test_bob_decode_wrong_lambda_oracle():
     rng = np.random.default_rng(4)
     state2 = _q_state(GF3, 1, 2)
     state2p = _q_state(GF3, 1, 0)
-    assert bob_decode(state2, state2p, GF3.from_index(1), "oracle", 1, rng) == 0
+    assert _bob_decode(state2, state2p, GF3.from_index(1), "oracle", 1, rng) == 0
 
 
 def test_bob_decode_wrong_lambda_swap_statistics():
@@ -85,7 +85,7 @@ def test_bob_decode_wrong_lambda_swap_statistics():
     state2p = _q_state(GF3, 1, 0)
     lam = GF3.from_index(0)
     n = 2000
-    zeros = sum(bob_decode(state2, state2p, lam, "swap", 1, rng) == 0 for _ in range(n))
+    zeros = sum(_bob_decode(state2, state2p, lam, "swap", 1, rng) == 0 for _ in range(n))
     sigma = np.sqrt(0.25 / n)
     assert abs(zeros / n - 0.5) < 3 * sigma
 
@@ -132,8 +132,7 @@ def test_eve_in_wrong_basis_passes_with_rate_one_over_d():
 def test_round_records_have_consistent_algebra():
     spec = GF3
     config = SessionConfig(field=spec, rounds=300, check_fraction=0.5,
-                           pair_label=PairLabel(spec.from_index(2), spec.from_index(1)),
-                           delta_offset=spec.from_index(1), seed=11)
+                           pair_label=(2, 1), delta_offset=1, seed=11)
     transcript = run_session(config)
     b_idx, c_idx = 2, 1
     for rec in transcript.records:
@@ -264,7 +263,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SessionConfig(field=GF3, rounds=1, swap_repetitions=0)
     with pytest.raises(ValueError):
-        SessionConfig(field=GF3, rounds=1, delta_offset=GF7.one())
+        SessionConfig(field=GF3, rounds=1, delta_offset=3)
     with pytest.raises(ValueError, match="^seed: "):
         SessionConfig(field=GF3, rounds=1, seed=-1)
     with pytest.raises(ValueError):
@@ -280,10 +279,7 @@ def test_config_json_roundtrip():
     cfg = SessionConfig(field=FieldSpec(3, 2), rounds=50, check_fraction=0.4,
                         mode="swap", swap_repetitions=3,
                         eve=EveStrategy("intercept_resend", "fixed", 4),
-                        delta_offset=FieldSpec(3, 2).from_index(5),
-                        pair_label=PairLabel(FieldSpec(3, 2).from_index(1),
-                                             FieldSpec(3, 2).from_index(2)),
-                        seed=99)
+                        delta_offset=5, pair_label=(1, 2), seed=99)
     assert SessionConfig.from_json(cfg.to_json()) == cfg
 
 
