@@ -1,15 +1,13 @@
 """Qudit MUB entanglement toolkit: finite-field bases, entangled pairs,
 discrete phase space, and a key-distribution protocol simulator."""
 
-from .entangle import (EntangledPair, PairLabel, entangled_mub,
-                       exponent_additivity_check, joint_c_measure,
-                       measure_first, shift_remote)
+from .entangle import (EntangledPair, entangled_mub, exponent_additivity_check,
+                       joint_c_measure, measure_first, shift_remote)
 from .gf import FieldSpec, GfElem, find_irreducible, is_irreducible, is_prime
 from .hilbert import (apply_diag_phase, basis_state, born_sample, inner,
                       project_first, swap_test, tensor)
-from .mub import (COMPUTATIONAL, BasisId, MubLabel, UnbiasednessReport,
-                  all_bases, basis_from_index, basis_index, basis_matrix,
-                  mub_basis, mub_state, unbiasedness_report)
+from .mub import (UnbiasednessReport, basis_matrix, mub_basis, mub_state,
+                  unbiasedness_report)
 from .phasespace import (CvLabel, CvLine, DiscreteWigner, LineIntersection,
                          cv_equal_delta, cv_intersect, cv_shift, cv_split,
                          dwigner1, dwigner2_support, label_of_line,

@@ -14,16 +14,19 @@ import sys
 
 import numpy as np
 
-from .entangle import PairLabel, entangled_mub, exponent_additivity_check, \
-    joint_c_measure, measure_first, shift_remote
-from .gf import FieldSpec
+from .entangle import entangled_mub, exponent_additivity_check, joint_c_measure, shift_remote
+from .gf import FieldSpec, index_add, index_sub
 from .hilbert import project_first
-from .mub import BasisId, MubLabel, all_bases, basis_matrix, mub_state, unbiasedness_report
+from .mub import basis_matrix, mub_state, unbiasedness_report
 from .phasespace import dwigner1, dwigner2_support
 from .protocol import SessionConfig, session_records, session_summary
 
 # Largest deviation verify accepts in the projection, shift and EPR checks.
 VERIFY_TOL = 1e-12
+
+# Longest error message printed whole; a longer one, which echoes a large
+# offending value, is cut to this many characters, the last one an ellipsis.
+MAX_ERROR_CHARS = 200
 
 
 def _flag_int(flag: str, what: str, text: str) -> int:
@@ -58,6 +61,19 @@ def _tuple_stream(d: int, width: int, samples: int, rng):
             yield tuple(int(x) for x in row)
 
 
+def _refuse_oversize(p: int, n: int, max_d: int):
+    """ValueError if d = p^n exceeds max_d, found before the field is built,
+    since its primality test and modulus search grow with p and d.
+    Multiplying stops once d passes max_d, so a huge n costs nothing."""
+    if p < 2:
+        return      # not a prime, which FieldSpec reports
+    d = 1
+    for k in range(1, n + 1):
+        d *= p
+        if d > max_d:
+            raise ValueError(f"d = {d if k == n else f'{p}^{n}'} exceeds --max-d {max_d}")
+
+
 def _verify_report(spec: FieldSpec, samples: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     d = spec.d
@@ -65,40 +81,32 @@ def _verify_report(spec: FieldSpec, samples: int, seed: int) -> dict:
     root_d = np.sqrt(d)
 
     proj_dev = proj_norm_dev = 0.0
-    for ib, ic, ib1, ic1 in _tuple_stream(d, 4, samples, rng):
-        b, c = spec.from_index(ib), spec.from_index(ic)
-        b1, c1 = spec.from_index(ib1), spec.from_index(ic1)
-        pair = entangled_mub(spec, PairLabel(b, c))
-        bra = mub_state(spec, MubLabel(BasisId(b1), c1))
-        w = project_first(pair.state, bra)
-        expect = mub_state(spec, MubLabel(BasisId(b - b1), c - c1)) / root_d
+    for b, c, b1, c1 in _tuple_stream(d, 4, samples, rng):
+        w = project_first(entangled_mub(spec, b, c).state, mub_state(spec, b1, c1))
+        expect = mub_state(spec, index_sub(spec, b, b1), index_sub(spec, c, c1)) / root_d
         proj_dev = max(proj_dev, float(np.max(np.abs(w - expect))))
         proj_norm_dev = max(proj_norm_dev, abs(float(np.vdot(w, w).real) - 1.0 / d))
 
     shift_dev = 0.0
-    for ib, ic, il in _tuple_stream(d, 3, samples, rng):
-        b, c, lam = spec.from_index(ib), spec.from_index(ic), spec.from_index(il)
-        shifted = shift_remote(mub_state(spec, MubLabel(BasisId(b), c)), lam)
-        target = mub_state(spec, MubLabel(BasisId(b), c + lam))
+    for b, c, lam in _tuple_stream(d, 3, samples, rng):
+        shifted = shift_remote(mub_state(spec, b, c), spec.from_index(lam))
+        target = mub_state(spec, b, index_add(spec, c, lam))
         shift_dev = max(shift_dev, float(np.max(np.abs(shifted - target))))
 
-    epr = entangled_mub(spec, PairLabel(spec.zero(), spec.zero()))
+    epr = entangled_mub(spec, 0, 0)
     epr_target = np.zeros(d * d, dtype=complex)
     epr_target[np.arange(d) * (d + 1)] = 1.0 / root_d
     epr_dev = float(np.max(np.abs(epr.state - epr_target)))
 
-    additivity = all(
-        exponent_additivity_check(spec, spec.from_index(i1), spec.from_index(j1),
-                                  spec.from_index(i2), spec.from_index(j2))
-        for i1, j1, i2, j2 in _tuple_stream(d, 4, samples, rng))
+    additivity = all(exponent_additivity_check(spec, *labels)
+                     for labels in _tuple_stream(d, 4, samples, rng))
 
     repeatable = True
     for _ in range(20):
-        b = spec.from_index(int(rng.integers(d)))
-        c = spec.from_index(int(rng.integers(d)))
-        pair = entangled_mub(spec, PairLabel(b, c))
-        out1, post1 = joint_c_measure(pair, b, rng)
-        out2, post2 = joint_c_measure(post1, b, rng)
+        b = int(rng.integers(d))
+        c = int(rng.integers(d))
+        out1, post1 = joint_c_measure(spec, entangled_mub(spec, b, c), b, rng)
+        out2, post2 = joint_c_measure(spec, post1, b, rng)
         if out1 != c or out2 != out1 or float(np.max(np.abs(post2 - post1))) > 1e-12:
             repeatable = False
 
@@ -128,9 +136,8 @@ def _verify_report(spec: FieldSpec, samples: int, seed: int) -> dict:
 def cmd_verify(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    _refuse_oversize(args.p, 1 if args.n is None else args.n, args.max_d)
     spec = _field_from_args(args)
-    if spec.d > args.max_d:
-        raise ValueError(f"d = {spec.d} exceeds --max-d {args.max_d}")
     report = _verify_report(spec, args.samples, args.seed)
     print(json.dumps(report, indent=2))
     return 0 if report["ok"] else 1
@@ -151,13 +158,14 @@ def _emit(lines, path):
 
 def cmd_bases(args) -> int:
     spec = _field_from_args(args)
+    d = spec.d
     lines = ["basis,b_index,c_index,n_index,re,im"]
-    for basis in all_bases(spec):
-        fam = "computational" if basis.is_computational else "quadratic"
-        b_idx = -1 if basis.is_computational else basis.b.index
+    for basis in range(d + 1):
+        # the computational basis, index d, is tagged -1
+        fam, b_idx = ("computational", -1) if basis == d else ("quadratic", basis)
         mat = basis_matrix(spec, basis)
-        for c_idx in range(spec.d):
-            for n_idx in range(spec.d):
+        for c_idx in range(d):
+            for n_idx in range(d):
                 v = mat[c_idx, n_idx]
                 lines.append(f"{fam},{b_idx},{c_idx},{n_idx},{float(v.real)!r},{float(v.imag)!r}")
     _emit(lines, args.out)
@@ -171,14 +179,13 @@ def cmd_wigner(args) -> int:
     d = spec.d
     if not 0 <= args.b < d or not 0 <= args.c < d:
         raise ValueError(f"--b and --c must lie in [0, {d})")
-    b, c = spec.from_index(args.b), spec.from_index(args.c)
     if args.pair:
-        support = dwigner2_support(entangled_mub(spec, PairLabel(b, c)))
+        support = dwigner2_support(entangled_mub(spec, args.b, args.c))
         lines = ["q1,p1,q2,p2,value"]
         for (q1, p1, q2, p2), v in sorted(support.items()):
             lines.append(f"{q1},{p1},{q2},{p2},{v!r}")
     else:
-        table = dwigner1(mub_state(spec, MubLabel(BasisId(b), c))).table
+        table = dwigner1(mub_state(spec, args.b, args.c)).table
         lines = ["q,p,value"]
         for q in range(d):
             for p in range(d):
@@ -327,7 +334,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        msg = str(exc)
+        if len(msg) > MAX_ERROR_CHARS:
+            msg = msg[:MAX_ERROR_CHARS - 1] + "…"
+        print(f"error: {msg}", file=sys.stderr)
         return 2
 
 

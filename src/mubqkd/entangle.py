@@ -1,9 +1,10 @@
 """Two-particle entangled states carrying MUB labels.
 
-An entangled pair (b, c) lives on the diagonal n1 == n2 of C^d x C^d and
-carries the same quadratic phases as the single-particle state (b, c).
-Measuring the first particle in basis b1 collapses the second to the
-state labeled (b - b1, c - c1), which is what the protocol exploits.
+An entangled pair (b, c), b a quadratic basis index and c a state index,
+lives on the diagonal n1 == n2 of C^d x C^d and carries the same quadratic
+phases as the single-particle state (b, c).  Measuring the first particle
+in basis b1 collapses the second to the state labeled (b - b1, c - c1),
+which is what the protocol exploits.
 """
 
 from __future__ import annotations
@@ -12,36 +13,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import FieldSpec, GfElem, index_arrays
+from .gf import FieldSpec, GfElem, index_add, index_arrays
 from .hilbert import apply_diag_phase, sample_index
-from .mub import BasisId, MubLabel, basis_matrix, mub_state
-
-
-@dataclass(frozen=True)
-class PairLabel:
-    """Shared (b, c) coordinates of an entangled pair; identical to the
-    single-particle label family."""
-
-    b: GfElem
-    c: GfElem
+from .mub import basis_matrix, mub_state
 
 
 @dataclass(frozen=True, eq=False)
 class EntangledPair:
-    label: PairLabel
+    spec: FieldSpec
+    label: tuple[int, int]   # (b, c), the label of the single-particle state it mirrors
     state: np.ndarray   # dimension d^2, supported on the diagonal n1 == n2
 
 
-def entangled_mub(spec: FieldSpec, label: PairLabel) -> EntangledPair:
+def entangled_mub(spec: FieldSpec, b: int, c: int) -> EntangledPair:
     """Diagonal two-particle state with amplitudes of the (b, c) MUB state."""
-    single = mub_state(spec, MubLabel(BasisId(label.b), label.c))
     d = spec.d
+    if b == d:
+        raise ValueError(f"pair basis index {b} is the computational basis; pairs take [0, {d})")
+    single = mub_state(spec, b, c)
     state = np.zeros(d * d, dtype=complex)
     state[np.arange(d) * (d + 1)] = single
-    return EntangledPair(label, state)
+    return EntangledPair(spec, (b, c), state)
 
 
-def measure_first(pair: EntangledPair, b1: BasisId, rng) -> tuple[GfElem, np.ndarray]:
+def measure_first(pair: EntangledPair, b1: int, rng) -> tuple[int, np.ndarray]:
     """Measure the first particle of an entangled pair in basis b1.
 
     Samples the outcome c1 from the projection norms (uniform 1/d for the
@@ -49,15 +44,14 @@ def measure_first(pair: EntangledPair, b1: BasisId, rng) -> tuple[GfElem, np.nda
     quadratic b1 the remote state is the MUB state labeled
     (b - b1, c - c1).
     """
-    spec = pair.label.b.field
-    d = spec.d
-    mat = basis_matrix(spec, b1)
+    d = pair.spec.d
+    mat = basis_matrix(pair.spec, b1)
     proj = mat.conj() @ pair.state.reshape(d, d)   # row k: remote branch for outcome k
     probs = np.einsum("ij,ij->i", proj, proj.conj()).real
     probs /= probs.sum()
     k = sample_index(probs, rng)
     w = proj[k]
-    return spec.from_index(k), w / np.linalg.norm(w)
+    return k, w / np.linalg.norm(w)
 
 
 def shift_remote(state: np.ndarray, lam: GfElem) -> np.ndarray:
@@ -73,7 +67,7 @@ def shift_remote(state: np.ndarray, lam: GfElem) -> np.ndarray:
     return apply_diag_phase(state, phases)
 
 
-def joint_c_measure(state, b: GfElem, rng) -> tuple[GfElem | None, np.ndarray]:
+def joint_c_measure(spec: FieldSpec, state, b: int, rng) -> tuple[int | None, np.ndarray]:
     """Projective measurement in {pair states of basis b} plus their complement.
 
     Nondestructive on pair eigenstates: feeding the post-state back in
@@ -82,12 +76,11 @@ def joint_c_measure(state, b: GfElem, rng) -> tuple[GfElem | None, np.ndarray]:
     raw d^2-dimensional vector (the complement outcome only occurs for
     states with off-diagonal support).
     """
-    spec = b.field
     d = spec.d
     psi = np.asarray(getattr(state, "state", state), dtype=complex)
     if psi.shape != (d * d,):
         raise ValueError(f"state has shape {psi.shape}, expected ({d * d},)")
-    rows = basis_matrix(spec, BasisId(b))
+    rows = basis_matrix(spec, b)
     diag = np.arange(d) * (d + 1)
     amps = rows.conj() @ psi[diag]
     probs = np.abs(amps) ** 2
@@ -99,18 +92,18 @@ def joint_c_measure(state, b: GfElem, rng) -> tuple[GfElem | None, np.ndarray]:
     if k < d:
         post = np.zeros(d * d, dtype=complex)
         post[diag] = rows[k] * (amps[k] / abs(amps[k]))
-        return spec.from_index(k), post
+        return k, post
     resid = psi.copy()
     resid[diag] -= amps @ rows
     return None, resid / np.linalg.norm(resid)
 
 
-def exponent_additivity_check(spec: FieldSpec, b1: GfElem, c1: GfElem,
-                              b2: GfElem, c2: GfElem, tol: float = 1e-12) -> bool:
+def exponent_additivity_check(spec: FieldSpec, b1: int, c1: int, b2: int, c2: int,
+                              tol: float = 1e-12) -> bool:
     """Phase factors of (b1+b2, c1+c2) equal the product of the two factors
     at every position n."""
     root_d = np.sqrt(spec.d)
-    f1 = mub_state(spec, MubLabel(BasisId(b1), c1)) * root_d
-    f2 = mub_state(spec, MubLabel(BasisId(b2), c2)) * root_d
-    fsum = mub_state(spec, MubLabel(BasisId(b1 + b2), c1 + c2)) * root_d
+    f1 = mub_state(spec, b1, c1) * root_d
+    f2 = mub_state(spec, b2, c2) * root_d
+    fsum = mub_state(spec, index_add(spec, b1, b2), index_add(spec, c1, c2)) * root_d
     return float(np.max(np.abs(fsum - f1 * f2))) < tol

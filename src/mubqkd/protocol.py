@@ -45,10 +45,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .entangle import PairLabel, entangled_mub, measure_first, shift_remote
-from .gf import FieldSpec, GfElem, index_add, index_sub
+from .entangle import entangled_mub, measure_first, shift_remote
+from .gf import FieldSpec, index_add, index_sub
 from .hilbert import born_sample, inner, swap_test
-from .mub import BasisId, basis_from_index, basis_matrix
+from .mub import basis_matrix
 from .phasespace import CvLabel, cv_equal_delta, cv_shift, cv_split
 
 ORACLE_MATCH_TOL = 1e-9
@@ -308,21 +308,17 @@ class Draws:
         return m >> 32
 
 
-def _alice_encode(bit: int, c1: GfElem, c1p: GfElem, delta: GfElem, rng) -> GfElem:
-    """Announcement value: the matching shift for bit 1, uniformly any of
-    the d-1 other field values for bit 0."""
-    spec = c1.field
-    return spec.from_index(_announce(bit, (c1p - c1 + delta).index, spec.d, rng))
-
-
-def _announce(bit: int, match: int, d: int, rng) -> int:
+def _alice_encode(spec: FieldSpec, bit: int, c1: int, c1p: int, delta: int, rng) -> int:
+    """Announcement index: the matching shift c1p - c1 + delta for bit 1,
+    uniformly any of the d-1 other field values for bit 0."""
+    match = index_add(spec, index_sub(spec, c1p, c1), delta)
     if bit == 1:
         return match
-    k = int(rng.integers(d - 1))
+    k = int(rng.integers(spec.d - 1))
     return k + 1 if k >= match else k
 
 
-def _bob_decode(state2: np.ndarray, state2p: np.ndarray, lam: GfElem,
+def _bob_decode(spec: FieldSpec, state2: np.ndarray, state2p: np.ndarray, lam: int,
                 mode: str, reps: int, rng) -> int:
     """Shift the second state by lam and compare with the first.
 
@@ -330,7 +326,7 @@ def _bob_decode(state2: np.ndarray, state2p: np.ndarray, lam: GfElem,
     reps independent swap tests (fresh copies each) and decodes 0 on any
     antisymmetric outcome.
     """
-    shifted = shift_remote(state2p, lam)
+    shifted = shift_remote(state2p, spec.from_index(lam))
     if mode == "oracle":
         return 1 if abs(inner(state2, shifted)) > 1.0 - ORACLE_MATCH_TOL else 0
     for _ in range(reps):
@@ -434,7 +430,7 @@ def run_round(config: SessionConfig, round_index: int, rng) -> RoundRecord:
     if kind == "message":
         bit = int(rng.integers(2))
         rec.bit_sent = bit
-        rec.lam = _announce(bit, index_add(spec, index_sub(spec, c1p, c1), delta), d, rng)
+        rec.lam = _alice_encode(spec, bit, c1, c1p, delta, rng)
         rec.decoded = _compare(spec, bob1, bob2, rec.lam, config.mode,
                                config.swap_repetitions, rng)
     else:
@@ -450,47 +446,42 @@ def run_round_dense(config: SessionConfig, round_index: int, rng) -> RoundRecord
     spec = config.field
     d = spec.d
     if config.pair_label is None:
-        b = spec.from_index(int(rng.integers(d)))
-        c = spec.from_index(int(rng.integers(d)))
+        b = int(rng.integers(d))
+        c = int(rng.integers(d))
     else:
-        b, c = (spec.from_index(k) for k in config.pair_label)
-    delta = spec.from_index(config.delta_offset)
-    pair1 = entangled_mub(spec, PairLabel(b, c))
-    pair2 = entangled_mub(spec, PairLabel(b, c - delta))
+        b, c = config.pair_label
+    delta = config.delta_offset
+    pair1 = entangled_mub(spec, b, c)
+    pair2 = entangled_mub(spec, b, index_sub(spec, c, delta))
 
     # one quadratic basis for both of Alice's measurements
-    b1 = BasisId(spec.from_index(int(rng.integers(d))))
+    b1 = int(rng.integers(d))
     c1, bob1 = measure_first(pair1, b1, rng)
     c1p, bob2 = measure_first(pair2, b1, rng)
 
     eve_basis = eve_outcome = None
     if config.eve.kind == "intercept_resend":
         eve_basis = _pick_eve_basis(config.eve, d, rng)
-        eve_mat = basis_matrix(spec, basis_from_index(spec, eve_basis))
+        eve_mat = basis_matrix(spec, eve_basis)
         k1, bob1 = born_sample(bob1, eve_mat, rng)
         k2, bob2 = born_sample(bob2, eve_mat, rng)
         eve_outcome = [k1, k2]
 
     # duty assigned only after transit
     kind = "check" if rng.random() < config.check_fraction else "message"
-
-    rec = RoundRecord(round=round_index, kind=kind, b1=b1.b.index, c1=c1.index,
-                      c1p=c1p.index, eve_basis=eve_basis, eve_outcome=eve_outcome)
-
+    rec = RoundRecord(round=round_index, kind=kind, b1=b1, c1=c1, c1p=c1p,
+                      eve_basis=eve_basis, eve_outcome=eve_outcome)
     if kind == "message":
         bit = int(rng.integers(2))
-        lam = _alice_encode(bit, c1, c1p, delta, rng)
         rec.bit_sent = bit
-        rec.lam = lam.index
-        rec.decoded = _bob_decode(bob1, bob2, lam, config.mode, config.swap_repetitions, rng)
+        rec.lam = _alice_encode(spec, bit, c1, c1p, delta, rng)
+        rec.decoded = _bob_decode(spec, bob1, bob2, rec.lam, config.mode,
+                                  config.swap_repetitions, rng)
     else:
-        b2 = b - b1.b
-        expected = c - c1
-        measured, _ = born_sample(bob1, basis_matrix(spec, BasisId(b2)), rng)
-        rec.check_b2 = b2.index
-        rec.check_expected = expected.index
-        rec.check_measured = measured
-        rec.check_passed = measured == expected.index
+        rec.check_b2 = index_sub(spec, b, b1)
+        rec.check_expected = index_sub(spec, c, c1)
+        rec.check_measured, _ = born_sample(bob1, basis_matrix(spec, rec.check_b2), rng)
+        rec.check_passed = rec.check_measured == rec.check_expected
     return rec
 
 

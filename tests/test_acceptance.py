@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from mubqkd.cli import main as cli_main
-from mubqkd.gf import FieldSpec
+from mubqkd.gf import FieldSpec, index_add, index_sub
 from mubqkd.hilbert import project_first
-from mubqkd.mub import BasisId, COMPUTATIONAL, MubLabel, mub_state, unbiasedness_report
-from mubqkd.entangle import PairLabel, entangled_mub, shift_remote
+from mubqkd.mub import mub_state, unbiasedness_report
+from mubqkd.entangle import entangled_mub, shift_remote
 from mubqkd.phasespace import dwigner1, dwigner2_support
 from mubqkd.protocol import EveStrategy, SessionConfig, run_session
 
@@ -33,10 +33,6 @@ def criterion(name):
         print(f"[FAIL] criterion {name}")
         raise
     print(f"[PASS] criterion {name}")
-
-
-def _q_state(spec, ib, ic):
-    return mub_state(spec, MubLabel(BasisId(spec.from_index(ib)), spec.from_index(ic)))
 
 
 def test_criterion_1_mub_constancy():
@@ -62,13 +58,11 @@ def test_criterion_2_projection_identity():
                 tuples = (tuple(int(x) for x in row)
                           for row in rng.integers(0, d, size=(1000, 4)))
             root_d = math.sqrt(d)
-            for ib, ic, ib1, ic1 in tuples:
-                b, c = spec.from_index(ib), spec.from_index(ic)
-                b1, c1 = spec.from_index(ib1), spec.from_index(ic1)
-                pair = entangled_mub(spec, PairLabel(b, c))
-                bra = mub_state(spec, MubLabel(BasisId(b1), c1))
+            for b, c, b1, c1 in tuples:
+                pair = entangled_mub(spec, b, c)
+                bra = mub_state(spec, b1, c1)
                 w = project_first(pair.state, bra)
-                expect = mub_state(spec, MubLabel(BasisId(b - b1), c - c1)) / root_d
+                expect = mub_state(spec, index_sub(spec, b, b1), index_sub(spec, c, c1)) / root_d
                 assert float(np.max(np.abs(w - expect))) < 1e-12
                 assert abs(float(np.vdot(w, w).real) - 1.0 / d) < 1e-12
 
@@ -77,12 +71,9 @@ def test_criterion_3_shift_law():
     with criterion("3: shift law exhaustive at d=3,5,7"):
         for spec in (FieldSpec(3, 1), FieldSpec(5, 1), FieldSpec(7, 1)):
             d = spec.d
-            for ib, ic, il in itertools.product(range(d), repeat=3):
-                b = spec.from_index(ib)
-                c = spec.from_index(ic)
-                lam = spec.from_index(il)
-                shifted = shift_remote(mub_state(spec, MubLabel(BasisId(b), c)), lam)
-                target = mub_state(spec, MubLabel(BasisId(b), c + lam))
+            for b, c, lam in itertools.product(range(d), repeat=3):
+                shifted = shift_remote(mub_state(spec, b, c), spec.from_index(lam))
+                target = mub_state(spec, b, index_add(spec, c, lam))
                 assert float(np.max(np.abs(shifted - target))) < 1e-12
 
 
@@ -91,7 +82,7 @@ def test_criterion_4_single_particle_wigner_lines():
         for d in (3, 5, 7):
             spec = FieldSpec(d, 1)
             for ib, ic in itertools.product(range(d), repeat=2):
-                table = dwigner1(_q_state(spec, ib, ic)).table
+                table = dwigner1(mub_state(spec, ib, ic)).table
                 assert abs(float(table.sum()) - 1.0) < 1e-9
                 line = {(q, (2 * ib * q + ic) % d) for q in range(d)}
                 nonzero = 0
@@ -104,7 +95,7 @@ def test_criterion_4_single_particle_wigner_lines():
                             assert abs(table[q, p]) < 1e-10
                 assert nonzero == d
             for k in range(d):
-                state = mub_state(spec, MubLabel(COMPUTATIONAL, spec.from_index(k)))
+                state = mub_state(spec, d, k)
                 table = dwigner1(state).table
                 assert abs(float(table.sum()) - 1.0) < 1e-9
                 for q in range(d):
@@ -118,7 +109,7 @@ def test_criterion_5_two_particle_wigner_support():
         for d in (3, 5):
             spec = FieldSpec(d, 1)
             for ib, ic in itertools.product(range(d), repeat=2):
-                pair = entangled_mub(spec, PairLabel(spec.from_index(ib), spec.from_index(ic)))
+                pair = entangled_mub(spec, ib, ic)
                 support = dwigner2_support(pair)
                 expect = {(q, p1, q, (2 * ib * q + ic - p1) % d)
                           for q in range(d) for p1 in range(d)}

@@ -7,7 +7,9 @@ import tracemalloc
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from mubqkd import gf
 from mubqkd.cli import main
+from mubqkd.mub import basis_matrix
 from mubqkd.protocol import SessionConfig, run_session
 
 
@@ -30,8 +32,20 @@ def test_verify_rejects_composite_p(capsys):
     assert main(["verify", "--p", "4", "--n", "1"]) == 2
 
 
-def test_verify_rejects_oversize_dimension():
-    assert main(["verify", "--p", "5", "--n", "3"]) == 2
+def _unreachable(*args):
+    raise AssertionError("the field was built before its size was checked")
+
+
+@pytest.mark.parametrize("flags, d", [
+    (["--p", "5", "--n", "3"], "125"),
+    (["--p", "3", "--n", "40"], "3^40"),
+    (["--p", "10000000000000061"], "10000000000000061"),
+], ids=["d125", "n40", "p1e16"])
+def test_verify_rejects_oversize_dimension(capsys, monkeypatch, flags, d):
+    monkeypatch.setattr(gf, "is_prime", _unreachable)
+    monkeypatch.setattr(gf, "find_irreducible", _unreachable)
+    assert main(["verify", *flags]) == 2
+    assert capsys.readouterr().err == f"error: d = {d} exceeds --max-d 81\n"
 
 
 def test_verify_rejects_no_samples(capsys):
@@ -61,6 +75,17 @@ def test_bases_csv(capsys):
     comp = [ln for ln in lines[1:] if ln.startswith("computational")]
     assert len(comp) == 9
     assert comp[0].split(",")[1] == "-1"
+
+
+def test_bases_csv_rows_equal_basis_matrix(capsys):
+    spec = gf.FieldSpec(3, 2)
+    assert main(["bases", "--p", "3", "--n", "2"]) == 0
+    rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == (spec.d + 1) * spec.d ** 2
+    for fam, b, c, n, re, im in rows:
+        basis = spec.d if b == "-1" else int(b)
+        assert fam == ("computational" if basis == spec.d else "quadratic")
+        assert complex(float(re), float(im)) == basis_matrix(spec, basis)[int(c), int(n)]
 
 
 def test_wigner_single_csv(capsys):
@@ -291,6 +316,30 @@ def test_session_deeply_nested_config_is_a_config_error(tmp_path, capsys):
                  "--stats", str(tmp_path / "s.json")])
     assert code == 2
     assert capsys.readouterr().err == "error: --config: document nested too deeply\n"
+
+
+@pytest.mark.parametrize("text, prefix", [
+    ('{"field": {"p": ' + "[" * 500 + "]" * 500 + '}, "rounds": 5}',
+     "error: field: p: expected an integer, got [[["),
+    (json.dumps({"field": {"p": 3}, "rounds": 5, "mode": "x" * 100_000}),
+     "error: unknown mode 'xxx"),
+    (json.dumps({"field": {"p": 3}, "rounds": 5, "eve": {"kind": "x" * 100_000}}),
+     "error: eve: unknown eavesdropper kind 'xxx"),
+    (json.dumps({"field": {"p": 3, "modulus": "x" * 100_000}, "rounds": 5}),
+     "error: field: modulus: expected a sequence, got 'xxx"),
+    (json.dumps({"field": {"p": 3, "modulus": [0] * 100_000}, "rounds": 5}),
+     "error: field: modulus must be monic of degree 1, got [0, 0, "),
+], ids=["deep-p", "mode", "eve-kind", "modulus-string", "modulus-entries"])
+def test_error_line_is_bounded(tmp_path, capsys, text, prefix):
+    cfg_path = tmp_path / "session.json"
+    cfg_path.write_text(text)
+    code = main(["session", "--config", str(cfg_path), "--no-transcript",
+                 "--stats", str(tmp_path / "s.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.endswith("…\n")
+    assert len(err) <= len("error: \n") + 200
+    assert err.startswith(prefix)
 
 
 # Small JSON values of every kind, with the NaN and infinities json reads.

@@ -7,8 +7,8 @@ import pytest
 
 from mubqkd.gf import FieldSpec
 from mubqkd.hilbert import basis_state, inner, tensor
-from mubqkd.mub import COMPUTATIONAL, BasisId, MubLabel, mub_state
-from mubqkd.entangle import (PairLabel, entangled_mub, exponent_additivity_check,
+from mubqkd.mub import mub_state
+from mubqkd.entangle import (entangled_mub, exponent_additivity_check,
                              joint_c_measure, measure_first, shift_remote)
 
 GF3 = FieldSpec(3, 1)
@@ -17,23 +17,20 @@ GF9 = FieldSpec(3, 2)
 OMEGA = np.exp(2j * np.pi / 3)
 
 
-def _q_state(spec, b, c):
-    return mub_state(spec, MubLabel(BasisId(spec.from_index(b)), spec.from_index(c)))
-
-
-def _pair(spec, b, c):
-    return entangled_mub(spec, PairLabel(spec.from_index(b), spec.from_index(c)))
-
-
 def test_epr_analog():
-    pair = _pair(GF3, 0, 0)
+    pair = entangled_mub(GF3, 0, 0)
     expect = np.zeros(9, complex)
     expect[[0, 4, 8]] = 1 / np.sqrt(3)
     assert np.max(np.abs(pair.state - expect)) < 1e-12
 
 
+def test_pair_rejects_the_computational_basis():
+    with pytest.raises(ValueError):
+        entangled_mub(GF3, 3, 0)
+
+
 def test_d3_pair_phases():
-    state = _pair(GF3, 1, 0).state
+    state = entangled_mub(GF3, 1, 0).state
     diag = state[[0, 4, 8]]
     assert np.allclose(diag * np.sqrt(3), [1, OMEGA, OMEGA], atol=1e-12)
     off = np.delete(state, [0, 4, 8])
@@ -42,7 +39,7 @@ def test_d3_pair_phases():
 
 def test_pair_norm_and_marginals():
     for b, c in itertools.product(range(3), repeat=2):
-        state = _pair(GF3, b, c).state
+        state = entangled_mub(GF3, b, c).state
         assert np.vdot(state, state).real == pytest.approx(1.0, abs=1e-12)
         marg = np.abs(state.reshape(3, 3)) ** 2
         assert np.allclose(marg.sum(axis=1), 1 / 3, atol=1e-12)
@@ -52,51 +49,51 @@ def test_pair_norm_and_marginals():
 def test_measure_first_collapse_rule():
     rng = np.random.default_rng(0)
     for b, c, b1 in itertools.product(range(3), repeat=3):
-        pair = _pair(GF3, b, c)
-        c1, remote = measure_first(pair, BasisId(GF3.from_index(b1)), rng)
-        expect = _q_state(GF3, (b - b1) % 3, (c - c1.index) % 3)
+        pair = entangled_mub(GF3, b, c)
+        c1, remote = measure_first(pair, b1, rng)
+        expect = mub_state(GF3, (b - b1) % 3, (c - c1) % 3)
         assert np.max(np.abs(remote - expect)) < 1e-12
 
 
 def test_measure_first_same_basis_lands_in_b2_zero():
     rng = np.random.default_rng(1)
-    pair = _pair(GF3, 2, 1)
-    c1, remote = measure_first(pair, BasisId(GF3.from_index(2)), rng)
-    expect = _q_state(GF3, 0, (1 - c1.index) % 3)
+    pair = entangled_mub(GF3, 2, 1)
+    c1, remote = measure_first(pair, 2, rng)
+    expect = mub_state(GF3, 0, (1 - c1) % 3)
     assert np.max(np.abs(remote - expect)) < 1e-12
 
 
 def test_measure_first_outcomes_uniform():
     rng = np.random.default_rng(2)
-    pair = _pair(GF3, 2, 1)
+    pair = entangled_mub(GF3, 2, 1)
     n = 10_000
     counts = np.zeros(3)
     for _ in range(n):
-        c1, _ = measure_first(pair, BasisId(GF3.from_index(1)), rng)
-        counts[c1.index] += 1
+        c1, _ = measure_first(pair, 1, rng)
+        counts[c1] += 1
     sigma = np.sqrt((1 / 3) * (2 / 3) / n)
     assert np.all(np.abs(counts / n - 1 / 3) < 3 * sigma)
 
 
 def test_measure_first_computational_basis():
     rng = np.random.default_rng(3)
-    pair = _pair(GF3, 1, 2)
-    c1, remote = measure_first(pair, COMPUTATIONAL, rng)
-    assert np.allclose(remote, basis_state(3, c1.index), atol=1e-12)
+    pair = entangled_mub(GF3, 1, 2)
+    c1, remote = measure_first(pair, 3, rng)
+    assert np.allclose(remote, basis_state(3, c1), atol=1e-12)
 
 
 def test_shift_identity_and_frozen_example():
     lam0 = GF3.zero()
-    state = _q_state(GF3, 1, 0)
+    state = mub_state(GF3, 1, 0)
     assert np.allclose(shift_remote(state, lam0), state)
     shifted = shift_remote(state, GF3.one())
-    assert np.max(np.abs(shifted - _q_state(GF3, 1, 1))) < 1e-12
+    assert np.max(np.abs(shifted - mub_state(GF3, 1, 1))) < 1e-12
 
 
 def test_shift_transitive_over_all_labels():
     for b, c, lam in itertools.product(range(3), repeat=3):
-        shifted = shift_remote(_q_state(GF3, b, c), GF3.from_index(lam))
-        assert np.max(np.abs(shifted - _q_state(GF3, b, (c + lam) % 3))) < 1e-12
+        shifted = shift_remote(mub_state(GF3, b, c), GF3.from_index(lam))
+        assert np.max(np.abs(shifted - mub_state(GF3, b, (c + lam) % 3))) < 1e-12
 
 
 def test_shifts_compose_additively():
@@ -122,36 +119,36 @@ def test_shift_phases_are_trace_characters(spec):
 
 
 def test_shift_is_unitary():
-    state = _q_state(GF9, 4, 7)
+    state = mub_state(GF9, 4, 7)
     shifted = shift_remote(state, GF9.from_index(5))
     assert np.vdot(shifted, shifted).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_joint_c_measure_eigenstate_nondestructive():
     rng = np.random.default_rng(5)
-    pair = _pair(GF3, 2, 1)
-    out1, post1 = joint_c_measure(pair, GF3.from_index(2), rng)
-    assert out1 == GF3.from_index(1)
+    pair = entangled_mub(GF3, 2, 1)
+    out1, post1 = joint_c_measure(GF3, pair, 2, rng)
+    assert out1 == 1
     assert np.max(np.abs(post1 - pair.state)) < 1e-12
-    out2, post2 = joint_c_measure(post1, GF3.from_index(2), rng)
+    out2, post2 = joint_c_measure(GF3, post1, 2, rng)
     assert out2 == out1
     assert np.max(np.abs(post2 - post1)) < 1e-12
 
 
 def test_joint_c_measure_cross_basis_uniform():
     rng = np.random.default_rng(6)
-    pair = _pair(GF3, 1, 0)
-    other = GF3.from_index(2)
+    pair = entangled_mub(GF3, 1, 0)
+    other = 2
     # analytic route: all d cross-basis overlaps have squared magnitude 1/d
     for cp in range(3):
-        target = _pair(GF3, 2, cp).state
+        target = entangled_mub(GF3, 2, cp).state
         assert abs(inner(target, pair.state)) ** 2 == pytest.approx(1 / 3, abs=1e-12)
     n = 2000
     counts = np.zeros(3)
     for _ in range(n):
-        out, _ = joint_c_measure(pair, other, rng)
+        out, _ = joint_c_measure(GF3, pair, other, rng)
         assert out is not None
-        counts[out.index] += 1
+        counts[out] += 1
     sigma = np.sqrt((1 / 3) * (2 / 3) / n)
     assert np.all(np.abs(counts / n - 1 / 3) < 3 * sigma)
 
@@ -160,25 +157,20 @@ def test_joint_c_measure_product_state_hits_complement():
     rng = np.random.default_rng(7)
     product = tensor(basis_state(3, 0), basis_state(3, 1))
     for _ in range(20):
-        out, post = joint_c_measure(product, GF3.from_index(1), rng)
+        out, post = joint_c_measure(GF3, product, 1, rng)
         assert out is None
         assert np.max(np.abs(post - product)) < 1e-12
 
 
 def test_exponent_additivity_trivial_and_exhaustive():
-    zero = GF3.zero()
-    assert exponent_additivity_check(GF3, GF3.from_index(2), GF3.from_index(1), zero, zero)
+    assert exponent_additivity_check(GF3, 2, 1, 0, 0)
     for spec in (GF3, GF5):
         for i1, j1, i2, j2 in itertools.product(range(spec.d), repeat=4):
-            assert exponent_additivity_check(
-                spec, spec.from_index(i1), spec.from_index(j1),
-                spec.from_index(i2), spec.from_index(j2))
+            assert exponent_additivity_check(spec, i1, j1, i2, j2)
 
 
 def test_exponent_additivity_random_d9():
     rng = np.random.default_rng(8)
     for _ in range(100):
         i1, j1, i2, j2 = (int(k) for k in rng.integers(0, 9, 4))
-        assert exponent_additivity_check(
-            GF9, GF9.from_index(i1), GF9.from_index(j1),
-            GF9.from_index(i2), GF9.from_index(j2))
+        assert exponent_additivity_check(GF9, i1, j1, i2, j2)

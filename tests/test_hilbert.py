@@ -7,15 +7,11 @@ from hypothesis import given, settings, strategies as st
 from mubqkd.gf import FieldSpec
 from mubqkd.hilbert import (apply_diag_phase, basis_state, born_sample, inner,
                             project_first, swap_test, tensor)
-from mubqkd.mub import BasisId, MubLabel, mub_basis, mub_state
-from mubqkd.entangle import PairLabel, entangled_mub
+from mubqkd.mub import mub_basis, mub_state
+from mubqkd.entangle import entangled_mub
 
 GF3 = FieldSpec(3, 1)
 OMEGA = np.exp(2j * np.pi / 3)
-
-
-def _q_state(spec, b, c):
-    return mub_state(spec, MubLabel(BasisId(spec.from_index(b)), spec.from_index(c)))
 
 
 def _random_state(rng, dim):
@@ -46,7 +42,7 @@ def test_inner_identity_and_orthogonality():
 
 
 def test_inner_mub_cross_magnitude():
-    val = inner(_q_state(GF3, 0, 0), _q_state(GF3, 1, 0))
+    val = inner(mub_state(GF3, 0, 0), mub_state(GF3, 1, 0))
     assert abs(val) == pytest.approx(0.5773502691896258, abs=1e-9)
     assert val == pytest.approx((1 + 2 * OMEGA) / 3, abs=1e-12)
 
@@ -71,7 +67,7 @@ def test_tensor_norm_multiplies(seed):
 
 
 def test_tensor_of_mub_states_normalized():
-    t = tensor(_q_state(GF3, 1, 2), _q_state(GF3, 2, 0))
+    t = tensor(mub_state(GF3, 1, 2), mub_state(GF3, 2, 0))
     assert np.vdot(t, t).real == pytest.approx(1.0, abs=1e-12)
 
 
@@ -84,7 +80,7 @@ def test_inner_conjugate_symmetry(seed):
 
 def test_born_sample_eigenstate():
     rng = np.random.default_rng(1)
-    basis = mub_basis(GF3, BasisId(GF3.from_index(2)))
+    basis = mub_basis(GF3, 2)
     for _ in range(50):
         k, collapsed = born_sample(basis[2], basis, rng)
         assert k == 2
@@ -93,7 +89,7 @@ def test_born_sample_eigenstate():
 
 def test_born_sample_uniform_over_computational():
     rng = np.random.default_rng(2)
-    state = _q_state(GF3, 1, 0)
+    state = mub_state(GF3, 1, 0)
     basis = [basis_state(3, k) for k in range(3)]
     counts = np.zeros(3)
     n = 10_000
@@ -107,7 +103,7 @@ def test_born_sample_uniform_over_computational():
 def test_born_probabilities_sum_to_one():
     rng = np.random.default_rng(3)
     for b in range(3):
-        basis = mub_basis(GF3, BasisId(GF3.from_index(b)))
+        basis = mub_basis(GF3, b)
         state = _random_state(rng, 3)
         total = sum(abs(inner(v, state)) ** 2 for v in basis)
         assert total == pytest.approx(1.0, abs=1e-10)
@@ -128,11 +124,11 @@ def test_project_first_product_state():
 
 
 def test_project_first_entangled_example():
-    pair = entangled_mub(GF3, PairLabel(GF3.from_index(2), GF3.from_index(1)))
-    bra = _q_state(GF3, 1, 2)
+    pair = entangled_mub(GF3, 2, 1)
+    bra = mub_state(GF3, 1, 2)
     w = project_first(pair.state, bra)
     # remote label: b2 = 2 - 1 = 1, c2 = 1 - 2 = 2 mod 3
-    expect = _q_state(GF3, 1, (1 - 2) % 3) / np.sqrt(3)
+    expect = mub_state(GF3, 1, (1 - 2) % 3) / np.sqrt(3)
     assert np.max(np.abs(w - expect)) < 1e-12
     assert np.vdot(w, w).real == pytest.approx(1 / 3, abs=1e-12)
 
@@ -166,8 +162,8 @@ def test_apply_diag_phase_identity_and_norm():
 def test_apply_diag_phase_shifts_mub_label():
     # phases omega^n advance c by one within the b = 1 basis at d = 3
     phases = np.array([OMEGA ** n for n in range(3)])
-    out = apply_diag_phase(_q_state(GF3, 1, 0), phases)
-    assert np.max(np.abs(out - _q_state(GF3, 1, 1))) < 1e-12
+    out = apply_diag_phase(mub_state(GF3, 1, 0), phases)
+    assert np.max(np.abs(out - mub_state(GF3, 1, 1))) < 1e-12
 
 
 def test_apply_diag_phase_rejects_non_unimodular():
@@ -177,7 +173,7 @@ def test_apply_diag_phase_rejects_non_unimodular():
 
 def test_swap_test_identical_states():
     rng = np.random.default_rng(5)
-    u = _q_state(GF3, 1, 1)
+    u = mub_state(GF3, 1, 1)
     assert all(swap_test(u, u, rng) == "symmetric" for _ in range(100))
 
 
@@ -192,7 +188,7 @@ def test_swap_test_orthogonal_states():
 
 def test_swap_test_mub_cross_pair():
     rng = np.random.default_rng(7)
-    u, v = _q_state(GF3, 0, 0), _q_state(GF3, 1, 0)
+    u, v = mub_state(GF3, 0, 0), mub_state(GF3, 1, 0)
     p_anti = _antisymmetric_prob(u, v)
     assert p_anti == pytest.approx((1 - 1 / 3) / 2, abs=1e-12)
     n = 10_000

@@ -8,16 +8,15 @@ import pytest
 
 from mubqkd.gf import FieldSpec
 from mubqkd.hilbert import basis_state
-from mubqkd.mub import BasisId, MubLabel, mub_state
-from mubqkd.entangle import PairLabel, entangled_mub
+from mubqkd.mub import mub_state
+from mubqkd.entangle import entangled_mub
 from mubqkd.phasespace import (CvLabel, CvLine, cv_equal_delta, cv_intersect,
                                cv_shift, cv_split, dwigner1, dwigner2_support,
                                label_of_line, line_of_label)
 
 
 def _q_state(d, b, c):
-    spec = FieldSpec(d, 1)
-    return mub_state(spec, MubLabel(BasisId(spec.from_index(b)), spec.from_index(c)))
+    return mub_state(FieldSpec(d, 1), b, c)
 
 
 def _line_points(d, b, c):
@@ -179,7 +178,7 @@ def test_dwigner1_rejects_bad_dimensions():
 
 def test_dwigner2_epr_support():
     spec = FieldSpec(3, 1)
-    support = dwigner2_support(entangled_mub(spec, PairLabel(spec.zero(), spec.zero())))
+    support = dwigner2_support(entangled_mub(spec, 0, 0))
     assert set(support) == _pair_points(3, 0, 0)
     assert all(v == pytest.approx(1 / 9, abs=1e-10) for v in support.values())
 
@@ -188,7 +187,7 @@ def test_dwigner2_support_matches_line_rule():
     for d in (3, 5):
         spec = FieldSpec(d, 1)
         for b, c in itertools.product(range(d), repeat=2):
-            pair = entangled_mub(spec, PairLabel(spec.from_index(b), spec.from_index(c)))
+            pair = entangled_mub(spec, b, c)
             support = dwigner2_support(pair)
             assert set(support) == _pair_points(d, b, c)
             assert len(support) == d * d

@@ -9,8 +9,8 @@ import pytest
 
 from mubqkd.gf import FieldSpec
 from mubqkd.hilbert import born_sample
-from mubqkd.mub import BasisId, MubLabel, basis_matrix, mub_state
-from mubqkd.entangle import PairLabel, entangled_mub, measure_first
+from mubqkd.mub import basis_matrix, mub_state
+from mubqkd.entangle import entangled_mub, measure_first
 from mubqkd.protocol import (Draws, EveStrategy, RoundRecord, SessionConfig,
                              _alice_encode, _bob_decode, _uniform_outcome, eavesdropper_detected,
                              run_cv_round, run_round, run_session, session_records,
@@ -24,68 +24,63 @@ JSONL_FIELDS = ["round", "kind", "bit_sent", "lambda", "b1", "c1", "c1p",
                 "check_expected", "check_measured", "check_passed"]
 
 
-def _q_state(spec, b, c):
-    return mub_state(spec, MubLabel(BasisId(spec.from_index(b)), spec.from_index(c)))
-
-
 # ---------------------------------------------------------------------------
 # encode / decode
 # ---------------------------------------------------------------------------
 
 def test_alice_encode_bit_one_example():
     rng = np.random.default_rng(0)
-    lam = _alice_encode(1, GF3.from_index(2), GF3.from_index(0), GF3.zero(), rng)
-    assert lam.index == 1          # 0 - 2 = 1 mod 3
+    lam = _alice_encode(GF3, 1, 2, 0, 0, rng)
+    assert lam == 1          # 0 - 2 = 1 mod 3
 
 
 def test_alice_encode_bit_zero_never_matches():
     rng = np.random.default_rng(1)
-    for ic1, ic1p, idelta in itertools.product(range(3), repeat=3):
-        c1, c1p, delta = (GF3.from_index(k) for k in (ic1, ic1p, idelta))
-        match = c1p - c1 + delta
+    for c1, c1p, delta in itertools.product(range(3), repeat=3):
+        match = (c1p - c1 + delta) % 3
         for _ in range(30):
-            assert _alice_encode(0, c1, c1p, delta, rng) != match
+            assert _alice_encode(GF3, 0, c1, c1p, delta, rng) != match
 
 
 def test_alice_encode_bit_zero_uniform():
     rng = np.random.default_rng(2)
     spec = GF7
-    c1, c1p, delta = spec.from_index(3), spec.from_index(5), spec.from_index(2)
-    match = c1p - c1 + delta
+    c1, c1p, delta = 3, 5, 2
+    match = (c1p - c1 + delta) % 7
     counts = np.zeros(7)
     n = 6000
     for _ in range(n):
-        counts[_alice_encode(0, c1, c1p, delta, rng).index] += 1
-    assert counts[match.index] == 0
+        counts[_alice_encode(spec, 0, c1, c1p, delta, rng)] += 1
+    assert counts[match] == 0
     sigma = np.sqrt((1 / 6) * (5 / 6) / n)
-    others = np.delete(counts, match.index) / n
+    others = np.delete(counts, match) / n
     assert np.all(np.abs(others - 1 / 6) < 3 * sigma)
 
 
 def test_bob_decode_matching_lambda():
     rng = np.random.default_rng(3)
-    state2 = _q_state(GF3, 1, 2)
-    state2p = _q_state(GF3, 1, 0)
-    lam = GF3.from_index(2)        # shifts c = 0 to c = 2
-    assert _bob_decode(state2, state2p, lam, "oracle", 1, rng) == 1
+    state2 = mub_state(GF3, 1, 2)
+    state2p = mub_state(GF3, 1, 0)
+    lam = 2        # shifts c = 0 to c = 2
+    assert _bob_decode(GF3, state2, state2p, lam, "oracle", 1, rng) == 1
     for _ in range(50):
-        assert _bob_decode(state2, state2p, lam, "swap", 1, rng) == 1
+        assert _bob_decode(GF3, state2, state2p, lam, "swap", 1, rng) == 1
 
 
 def test_bob_decode_wrong_lambda_oracle():
     rng = np.random.default_rng(4)
-    state2 = _q_state(GF3, 1, 2)
-    state2p = _q_state(GF3, 1, 0)
-    assert _bob_decode(state2, state2p, GF3.from_index(1), "oracle", 1, rng) == 0
+    state2 = mub_state(GF3, 1, 2)
+    state2p = mub_state(GF3, 1, 0)
+    assert _bob_decode(GF3, state2, state2p, 1, "oracle", 1, rng) == 0
 
 
 def test_bob_decode_wrong_lambda_swap_statistics():
     rng = np.random.default_rng(5)
-    state2 = _q_state(GF3, 1, 2)
-    state2p = _q_state(GF3, 1, 0)
-    lam = GF3.from_index(0)
+    state2 = mub_state(GF3, 1, 2)
+    state2p = mub_state(GF3, 1, 0)
+    lam = 0
     n = 2000
-    zeros = sum(_bob_decode(state2, state2p, lam, "swap", 1, rng) == 0 for _ in range(n))
+    zeros = sum(_bob_decode(GF3, state2, state2p, lam, "swap", 1, rng) == 0 for _ in range(n))
     sigma = np.sqrt(0.25 / n)
     assert abs(zeros / n - 0.5) < 3 * sigma
 
@@ -97,24 +92,24 @@ def test_bob_decode_wrong_lambda_swap_statistics():
 def test_eve_in_correct_basis_leaves_no_trace():
     rng = np.random.default_rng(6)
     spec = GF3
-    b, c = spec.from_index(2), spec.from_index(1)
-    b1 = spec.from_index(1)
-    pair = entangled_mub(spec, PairLabel(b, c))
-    c1, bob = measure_first(pair, BasisId(b1), rng)
-    b2 = b - b1
+    b, c = 2, 1
+    b1 = 1
+    pair = entangled_mub(spec, b, c)
+    c1, bob = measure_first(pair, b1, rng)
+    b2 = (b - b1) % 3
     # Eve measures in exactly the basis the particle is in
-    k, forwarded = born_sample(bob, basis_matrix(spec, BasisId(b2)), rng)
-    assert k == (c - c1).index
-    measured, _ = born_sample(forwarded, basis_matrix(spec, BasisId(b2)), rng)
-    assert measured == (c - c1).index
+    k, forwarded = born_sample(bob, basis_matrix(spec, b2), rng)
+    assert k == (c - c1) % 3
+    measured, _ = born_sample(forwarded, basis_matrix(spec, b2), rng)
+    assert measured == (c - c1) % 3
 
 
 def test_eve_in_wrong_basis_passes_with_rate_one_over_d():
     rng = np.random.default_rng(7)
     spec = GF3
-    bob = _q_state(spec, 1, 2)     # particle in basis b2 = 1, state c2 = 2
-    wrong = basis_matrix(spec, BasisId(spec.from_index(0)))
-    right = basis_matrix(spec, BasisId(spec.from_index(1)))
+    bob = mub_state(spec, 1, 2)     # particle in basis b2 = 1, state c2 = 2
+    wrong = basis_matrix(spec, 0)
+    right = basis_matrix(spec, 1)
     n = 3000
     passes = 0
     for _ in range(n):
