@@ -28,6 +28,14 @@ VERIFY_TOL = 1e-12
 # offending value, is cut to this many characters, the last one an ellipsis.
 MAX_ERROR_CHARS = 200
 
+# Default session --max-d: at d = 2^20 the uniform cdf and the digit tables
+# of a session take at most 16 * d bytes = 16 MiB.
+SESSION_MAX_D = 2 ** 20
+
+# Largest session --max-d: a round draws uniform integers below d + 1, and
+# the session stream draws them 32 bits at a time.
+SESSION_MAX_D_LIMIT = 2 ** 32
+
 
 def _flag_int(flag: str, what: str, text: str) -> int:
     """text as an int; ValueError naming the flag and the value otherwise."""
@@ -45,6 +53,8 @@ def _field_config(args) -> dict:
 
 
 def _field_from_args(args) -> FieldSpec:
+    """The field of --p, --n and --modulus, refused above --max-d before it is built."""
+    _refuse_oversize(args.p, args.n, args.max_d)
     return FieldSpec.from_config(_field_config(args))
 
 
@@ -61,12 +71,15 @@ def _tuple_stream(d: int, width: int, samples: int, rng):
             yield tuple(int(x) for x in row)
 
 
-def _refuse_oversize(p: int, n: int, max_d: int):
+def _refuse_oversize(p, n, max_d: int):
     """ValueError if d = p^n exceeds max_d, found before the field is built,
     since its primality test and modulus search grow with p and d.
-    Multiplying stops once d passes max_d, so a huge n costs nothing."""
-    if p < 2:
-        return      # not a prime, which FieldSpec reports
+    Multiplying stops once d passes max_d, so a huge n costs nothing.  A p or
+    n that is not an integer (n None meaning 1), or a p below 2, is left for
+    FieldSpec to report."""
+    n = 1 if n is None else n
+    if type(p) is not int or type(n) is not int or p < 2:
+        return
     d = 1
     for k in range(1, n + 1):
         d *= p
@@ -136,7 +149,6 @@ def _verify_report(spec: FieldSpec, samples: int, seed: int) -> dict:
 def cmd_verify(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    _refuse_oversize(args.p, 1 if args.n is None else args.n, args.max_d)
     spec = _field_from_args(args)
     report = _verify_report(spec, args.samples, args.seed)
     print(json.dumps(report, indent=2))
@@ -215,29 +227,42 @@ def _parse_eve(text: str) -> dict:
     raise ValueError(f"unknown --eve value {text!r}")
 
 
-def _session_config(args) -> SessionConfig:
-    """Config from --config, or from the session flags as the same document."""
+def _session_doc(args):
+    """The config document of --config, or of the session flags."""
     if args.config:
         given = [f"--{name.replace('_', '-')}" for name in _SESSION_FLAGS
                  if getattr(args, name) is not None]
         if given:
             raise ValueError(f"--config cannot be combined with {', '.join(given)}")
         with open(args.config) as fh:
-            try:
-                return SessionConfig.from_json(json.load(fh))
-            except RecursionError:
-                raise ValueError("--config: document nested too deeply") from None
+            return json.load(fh)
     if args.p is None or args.rounds is None:
         raise ValueError("session needs --p and --rounds (or --config)")
     if (args.b is None) != (args.c is None):
         raise ValueError("--b and --c set the fixed pair label and must come together")
     # a flag not given is null, which from_json reads as absent
-    return SessionConfig.from_json({
+    return {
         "field": _field_config(args), "rounds": args.rounds, "check_fraction": args.check_frac,
         "mode": args.mode, "swap_repetitions": args.reps,
         "eve": None if args.eve is None else _parse_eve(args.eve),
         "delta_offset": args.delta, "pair_label": None if args.b is None else [args.b, args.c],
-        "seed": args.seed})
+        "seed": args.seed}
+
+
+def _session_config(args) -> SessionConfig:
+    """Config from --config or the session flags, its field refused above
+    --max-d before it is built."""
+    if args.max_d > SESSION_MAX_D_LIMIT:
+        raise ValueError(f"--max-d must be at most 2^32 = {SESSION_MAX_D_LIMIT}, "
+                         f"got {args.max_d}")
+    try:
+        doc = _session_doc(args)
+        field = doc.get("field") if isinstance(doc, dict) else None
+        if isinstance(field, dict):
+            _refuse_oversize(field.get("p"), field.get("n"), args.max_d)
+        return SessionConfig.from_json(doc)
+    except RecursionError:
+        raise ValueError("--config: document nested too deeply") from None
 
 
 def _written(records, fh):
@@ -277,28 +302,29 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description="MUB entanglement simulator and protocol auditor")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_field_args(sp, p_required=True):
+    def add_field_args(sp, max_d, p_required=True):
         sp.add_argument("--p", type=int, required=p_required, default=None,
                         help="odd prime characteristic")
         sp.add_argument("--n", type=int, help="extension degree, d = p^n (default 1)")
         sp.add_argument("--modulus", help="comma-separated modulus coefficients c0,c1,... "
                         "(low-order first; default: the first irreducible one)")
+        sp.add_argument("--max-d", type=int, default=max_d,
+                        help="refuse dimensions d above this (default %(default)s)")
 
     sp = sub.add_parser("verify", help="run the invariant suite and report max deviations")
-    add_field_args(sp)
-    sp.add_argument("--max-d", type=int, default=81, help="refuse dimensions above this")
+    add_field_args(sp, 81)
     sp.add_argument("--samples", type=int, default=200,
                     help="sample count per check when exhaustive scans are too large")
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("bases", help="dump all d+1 basis amplitudes as CSV")
-    add_field_args(sp)
+    add_field_args(sp, 81)
     sp.add_argument("--out", type=str, default=None, help="output path (default stdout)")
     sp.set_defaults(func=cmd_bases)
 
     sp = sub.add_parser("wigner", help="dump a discrete Wigner table or pair support as CSV")
-    add_field_args(sp)
+    add_field_args(sp, 81)
     sp.add_argument("--b", type=int, required=True, help="quadratic basis index")
     sp.add_argument("--c", type=int, required=True, help="state index")
     sp.add_argument("--pair", action="store_true", help="two-particle support instead of a single state")
@@ -306,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_wigner)
 
     sp = sub.add_parser("session", help="run a protocol session and persist the transcript")
-    add_field_args(sp, p_required=False)
+    add_field_args(sp, SESSION_MAX_D, p_required=False)
     sp.add_argument("--rounds", type=int, help="number of rounds (required without --config)")
     sp.add_argument("--check-frac", type=float,
                     help=f"share of check rounds (default {SessionConfig.check_fraction})")

@@ -3,9 +3,12 @@
 An element is stored as its canonical index sum(coeffs[i] * p**i), where
 coeffs (low-order first) represent it modulo a monic irreducible polynomial
 of degree n; the index order is used everywhere for bases and transcripts.
-Addition is digit-wise mod p on indices; products and the trace work on
-coefficients.  Phases need only tr(a*b), which index_arrays gives as
-digits[a] @ form @ digits[b] mod p through the n x n trace form.
+Addition is digit-wise mod p on indices: for n >= 2 an index splits into
+three chunks of h = max(1, n // 2) base-p digits, and each pair of chunks is
+looked up in the add or sub table of FieldSpec.digit_tables (p^(2h) <= d
+entries each), so a sum costs three lookups whatever n is.  Products and the
+trace work on coefficients.  Phases need only tr(a*b), which index_arrays
+gives as digits[a] @ form @ digits[b] mod p through the n x n trace form.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -110,10 +113,11 @@ class FieldSpec:
 
     def __post_init__(self):
         p, n = _integer("p", self.p), _integer("n", self.n)
-        if p == 2 or not is_prime(p):
-            raise ValueError(f"p must be an odd prime, got {p}")
+        # n first: the primality test grows with p
         if n < 1:
             raise ValueError(f"extension degree must be at least 1, got {n}")
+        if p == 2 or not is_prime(p):
+            raise ValueError(f"p must be an odd prime, got {p}")
         if not isinstance(self.modulus, (list, tuple)):
             raise ValueError(f"modulus: expected a sequence, got {self.modulus!r}")
         mod = tuple(_integer(f"modulus[{i}]", c) % p for i, c in enumerate(self.modulus))
@@ -129,6 +133,27 @@ class FieldSpec:
     @property
     def d(self) -> int:
         return self.p ** self.n
+
+    @cached_property
+    def digit_tables(self) -> tuple[int, memoryview, memoryview]:
+        """(q, add, sub) for n >= 2, built on first use and kept on the instance.
+
+        q = p^h for chunks of h = max(1, n // 2) base-p digits; add[x * q + y]
+        and sub[x * q + y] are the chunks whose digits are those of x plus and
+        minus those of y, mod p.  Each is a read-only int32 view of q * q <= d
+        entries, built by vectorized digit arithmetic.  Not part of equality,
+        hashing or to_config.
+        """
+        p, h = self.p, max(1, self.n // 2)
+        q = p ** h
+        k = np.arange(q, dtype=np.int32)
+        add = np.zeros((q, q), dtype=np.int32)
+        sub = np.zeros((q, q), dtype=np.int32)
+        for i in range(h):
+            x = k // p ** i % p
+            add += (x[:, None] + x) % p * p ** i
+            sub += (x[:, None] - x) % p * p ** i
+        return q, memoryview(add.ravel()).toreadonly(), memoryview(sub.ravel()).toreadonly()
 
     def element(self, coeffs) -> GfElem:
         """Element from coefficients (low-order first), reduced mod p and zero-padded."""
@@ -259,30 +284,26 @@ def index_arrays(spec: FieldSpec):
     return digits, form, squares
 
 
-def _digitwise(spec: FieldSpec, a: int, b: int, sign: int) -> int:
-    """Index whose base-p digits are those of a plus sign times those of b, mod p."""
-    p = spec.p
-    if spec.n == 1:
-        return (a + sign * b) % p
-    out, scale = 0, 1
-    while a or b:
-        a, da = divmod(a, p)
-        b, db = divmod(b, p)
-        out += (da + sign * db) % p * scale
-        scale *= p
-    return out
-
-
 def index_add(spec: FieldSpec, a: int, b: int) -> int:
     """Index of from_index(a) + from_index(b)."""
-    return _digitwise(spec, a, b, 1)
+    if spec.n == 1:
+        return (a + b) % spec.p
+    q, add, _ = spec.digit_tables
+    qa, qb = a // q, b // q
+    return ((add[qa // q * q + qb // q] * q + add[qa % q * q + qb % q]) * q
+            + add[a % q * q + b % q])
 
 
 def index_sub(spec: FieldSpec, a: int, b: int) -> int:
     """Index of from_index(a) - from_index(b)."""
-    return _digitwise(spec, a, b, -1)
+    if spec.n == 1:
+        return (a - b) % spec.p
+    q, _, sub = spec.digit_tables
+    qa, qb = a // q, b // q
+    return ((sub[qa // q * q + qb // q] * q + sub[qa % q * q + qb % q]) * q
+            + sub[a % q * q + b % q])
 
 
 def index_neg(spec: FieldSpec, a: int) -> int:
     """Index of -from_index(a)."""
-    return _digitwise(spec, 0, a, -1)
+    return index_sub(spec, 0, a)

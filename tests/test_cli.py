@@ -7,10 +7,10 @@ import tracemalloc
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mubqkd import gf
+from mubqkd import cli, gf
 from mubqkd.cli import main
 from mubqkd.mub import basis_matrix
-from mubqkd.protocol import SessionConfig, run_session
+from mubqkd.protocol import SessionConfig, _uniform_cdf, run_session
 
 
 def test_verify_clean_field(capsys):
@@ -48,6 +48,49 @@ def test_verify_rejects_oversize_dimension(capsys, monkeypatch, flags, d):
     assert capsys.readouterr().err == f"error: d = {d} exceeds --max-d 81\n"
 
 
+@pytest.mark.parametrize("argv, d", [
+    (["--p", "4294967311", "--rounds", "1"], "4294967311"),
+    (["--p", "3", "--n", "40", "--rounds", "1"], "3^40"),
+    ({"field": {"p": 4294967311}, "rounds": 1}, "4294967311"),
+    ({"field": {"p": 3, "n": 40, "modulus": None}, "rounds": 1}, "3^40"),
+], ids=["p-flag", "n-flag", "p-config", "n-config"])
+def test_session_rejects_oversize_dimension(tmp_path, capsys, monkeypatch, argv, d):
+    if isinstance(argv, dict):
+        (tmp_path / "session.json").write_text(json.dumps(argv))
+        argv = ["--config", str(tmp_path / "session.json")]
+    monkeypatch.setattr(gf, "is_prime", _unreachable)
+    monkeypatch.setattr(gf, "find_irreducible", _unreachable)
+    assert main(["session", *argv, "--no-transcript", "--stats", str(tmp_path / "s.json")]) == 2
+    assert capsys.readouterr().err == f"error: d = {d} exceeds --max-d 1048576\n"
+
+
+def test_session_max_d(tmp_path, capsys):
+    argv = ["session", "--p", "3", "--n", "2", "--rounds", "5", "--no-transcript",
+            "--stats", str(tmp_path / "s.json")]
+    assert main(argv + ["--max-d", "8"]) == 2
+    assert capsys.readouterr().err == "error: d = 9 exceeds --max-d 8\n"
+    assert main(argv + ["--max-d", "9"]) == 0
+    assert main(argv + ["--max-d", str(2 ** 32)]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--max-d", str(2 ** 32 + 1)]) == 2
+    assert capsys.readouterr().err.startswith("error: --max-d must be at most 2^32")
+
+
+def test_session_tables_fit_in_16_d_bytes():
+    """The uniform cdf and both digit tables of the largest field of each
+    degree that session accepts by default take at most 16 * d bytes."""
+    limit = cli.SESSION_MAX_D
+    try:
+        for n in range(1, int(math.log(limit, 3)) + 1):
+            p = next(p for p in range(int(limit ** (1 / n)) + 1, 2, -1)
+                     if p % 2 and gf.is_prime(p) and p ** n <= limit)
+            spec = gf.FieldSpec(p, n)
+            tables = spec.digit_tables[1:] if n > 1 else ()
+            assert _uniform_cdf(spec.d).nbytes + sum(t.nbytes for t in tables) <= 16 * spec.d
+    finally:
+        _uniform_cdf.cache_clear()
+
+
 def test_verify_rejects_no_samples(capsys):
     for samples in ("0", "-3"):
         assert main(["verify", "--p", "3", "--n", "2", "--samples", samples]) == 2
@@ -75,6 +118,13 @@ def test_bases_csv(capsys):
     comp = [ln for ln in lines[1:] if ln.startswith("computational")]
     assert len(comp) == 9
     assert comp[0].split(",")[1] == "-1"
+
+
+def test_bases_rejects_oversize_dimension(capsys, monkeypatch):
+    monkeypatch.setattr(gf, "is_prime", _unreachable)
+    monkeypatch.setattr(gf, "find_irreducible", _unreachable)
+    assert main(["bases", "--p", "3", "--n", "5"]) == 2
+    assert capsys.readouterr().err == "error: d = 243 exceeds --max-d 81\n"
 
 
 def test_bases_csv_rows_equal_basis_matrix(capsys):
@@ -118,6 +168,13 @@ def test_wigner_rejects_composite_and_extensions(capsys):
     assert main(["wigner", "--p", "9", "--b", "0", "--c", "0"]) == 2
     assert main(["wigner", "--p", "3", "--n", "2", "--b", "0", "--c", "0"]) == 2
     assert main(["wigner", "--p", "3", "--b", "5", "--c", "0"]) == 2
+
+
+def test_wigner_rejects_oversize_dimension(capsys, monkeypatch):
+    monkeypatch.setattr(gf, "is_prime", _unreachable)
+    monkeypatch.setattr(gf, "find_irreducible", _unreachable)
+    assert main(["wigner", "--p", "83", "--b", "0", "--c", "0", "--pair"]) == 2
+    assert capsys.readouterr().err == "error: d = 83 exceeds --max-d 81\n"
 
 
 def test_wigner_deterministic_output(capsys):
@@ -362,10 +419,11 @@ def _docs(required: dict, optional: dict):
 
 
 # Well-typed values mostly in range; _docs adds the wrong types and the rest.
-_FIELD_DOCS = _docs({"p": st.sampled_from([3, 5, 7, 11])},
-                    {"n": st.integers(1, 3),
+# p^n reaches past the default --max-d of 2^20 (101^3 is just below it).
+_FIELD_DOCS = _docs({"p": st.sampled_from([3, 5, 7, 11, 13, 101, 1031, 4294967311])},
+                    {"n": st.integers(1, 7),
                      "modulus": st.sampled_from([[0, 1], [1, 0, 1], [2, 1, 1], [1, 2, 0, 1]])}
-                    ).filter(lambda f: not (type(f.get("n")) is int and f["n"] > 3))
+                    ).filter(lambda f: not (type(f.get("n")) is int and f["n"] > 7))
 _EVE_DOCS = _docs({"kind": st.sampled_from(["none", "intercept_resend"])},
                   {"picker": st.sampled_from(["fixed", "uniform_quadratic", "uniform_all"]),
                    "fixed_basis": _SMALL_INTS})
@@ -385,10 +443,11 @@ def test_any_config_document_runs_or_is_a_config_error(tmp_path, capsys, doc):
     """Every JSON document either runs a session (0 or 3) or exits 2 with
     an error line; no exception escapes main.
 
-    Integers stay in [-3, 20] and n at most 3: d is at most 11^3, rounds at
-    most 20 and swap repetitions at most 12.  Sessions have no size limit
-    yet, so a large d, round count or repetition count would make a correct
-    program slow, not wrong.
+    n is at most 7 and p up to 4294967311, so d ranges from 3 to far past
+    the default --max-d, which must exit 2.  Other integers stay in
+    [-3, 20]: rounds at most 20 and swap repetitions at most 12, since a
+    large round or repetition count would make a correct program slow, not
+    wrong.
     """
     cfg_path = tmp_path / "session.json"
     cfg_path.write_text(json.dumps(doc))
@@ -397,6 +456,11 @@ def test_any_config_document_runs_or_is_a_config_error(tmp_path, capsys, doc):
     err = capsys.readouterr().err
     assert code in (0, 2, 3)
     assert (code == 2) == err.startswith("error: ")
+    field = doc.get("field") if isinstance(doc, dict) else None
+    if isinstance(field, dict):
+        p, n = field.get("p"), 1 if field.get("n") is None else field.get("n")
+        if type(p) is int and type(n) is int and n >= 1 and p ** n > cli.SESSION_MAX_D:
+            assert err.startswith("error: d = "), err
 
 
 @pytest.mark.parametrize("argv, err", [

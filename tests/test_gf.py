@@ -241,3 +241,64 @@ def test_field_arrays_are_o_d_n():
     assert [a.shape for a in arrays] == [(d, n), (n, n), (d,)]
     assert sum(a.nbytes for a in arrays) <= 8 * (d * n + n * n + d)
     assert not any(a.flags.writeable for a in arrays)
+
+
+def _digitwise(spec, a, b, sign):
+    """Reference: the index whose i-th base-p digit is a_i + sign * b_i mod p."""
+    p = spec.p
+    return sum((a // p ** i % p + sign * (b // p ** i % p)) % p * p ** i for i in range(spec.n))
+
+
+TABLE_SPECS = ([FieldSpec(3, n) for n in range(2, 8)]
+               + [FieldSpec(5, 3), FieldSpec(7, 2), FieldSpec(3, 2, (2, 1, 1))])
+TABLE_IDS = [f"{s.p}^{s.n}{'' if s.modulus == find_irreducible(s.p, s.n) else '-mod'}"
+             for s in TABLE_SPECS]
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=TABLE_IDS)
+def test_index_arithmetic_matches_digitwise_reference(spec):
+    d = spec.d
+    if d <= 243:
+        pairs = itertools.product(range(d), repeat=2)
+    else:
+        pairs = np.random.default_rng(d).integers(d, size=(20_000, 2)).tolist()
+    for a, b in pairs:
+        assert index_add(spec, a, b) == _digitwise(spec, a, b, 1)
+        assert index_sub(spec, a, b) == _digitwise(spec, a, b, -1)
+    for a in range(min(d, 2_000)):
+        assert index_neg(spec, a) == _digitwise(spec, 0, a, -1)
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=TABLE_IDS)
+def test_digit_tables_are_read_only_with_at_most_d_entries(spec):
+    q, add, sub = spec.digit_tables
+    assert q == spec.p ** max(1, spec.n // 2)
+    for table in (add, sub):
+        assert len(table) == q * q <= spec.d
+        assert table.readonly and table.itemsize == 4
+        with pytest.raises(TypeError):
+            table[0] = 0
+
+
+def test_digit_tables_build_no_elements(monkeypatch):
+    spec = FieldSpec(3, 4)
+    assert "digit_tables" not in vars(spec)
+
+    def refuse(self):
+        raise AssertionError("a GfElem was built")
+
+    monkeypatch.setattr(GfElem, "__post_init__", refuse)
+    spec.digit_tables
+    assert index_add(spec, 40, 41) == _digitwise(spec, 40, 41, 1)
+
+
+def test_digit_tables_leave_spec_identity_alone():
+    spec, twin = FieldSpec(3, 3), FieldSpec(3, 3)
+    before = (hash(spec), spec.to_config(), repr(spec))
+    spec.digit_tables
+    assert "digit_tables" in vars(spec) and "digit_tables" not in vars(twin)
+    assert spec == twin and hash(twin) == before[0]
+    assert (hash(spec), spec.to_config(), repr(spec)) == before
+    # a prime field adds directly and builds none
+    index_sub(GF7, 2, 5)
+    assert "digit_tables" not in vars(GF7)
