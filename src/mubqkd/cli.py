@@ -28,13 +28,9 @@ VERIFY_TOL = 1e-12
 # offending value, is cut to this many characters, the last one an ellipsis.
 MAX_ERROR_CHARS = 200
 
-# Default session --max-d: at d = 2^20 the uniform cdf and the digit tables
+# Largest d a session runs: at d = 2^20 the uniform cdf and the digit tables
 # of a session take at most 16 * d bytes = 16 MiB.
 SESSION_MAX_D = 2 ** 20
-
-# Largest session --max-d: a round draws uniform integers below d + 1, and
-# the session stream draws them 32 bits at a time.
-SESSION_MAX_D_LIMIT = 2 ** 32
 
 
 def _flag_int(flag: str, what: str, text: str) -> int:
@@ -71,9 +67,10 @@ def _tuple_stream(d: int, width: int, samples: int, rng):
             yield tuple(int(x) for x in row)
 
 
-def _refuse_oversize(p, n, max_d: int):
-    """ValueError if d = p^n exceeds max_d, found before the field is built,
-    since its primality test and modulus search grow with p and d.
+def _refuse_oversize(p, n, max_d: int, limit: str = "--max-d"):
+    """ValueError if d = p^n exceeds max_d, which the message calls limit,
+    found before the field is built, since its primality test and modulus
+    search grow with p and d.
     Multiplying stops once d passes max_d, so a huge n costs nothing.  A p or
     n that is not an integer (n None meaning 1), or a p below 2, is left for
     FieldSpec to report."""
@@ -84,7 +81,7 @@ def _refuse_oversize(p, n, max_d: int):
     for k in range(1, n + 1):
         d *= p
         if d > max_d:
-            raise ValueError(f"d = {d if k == n else f'{p}^{n}'} exceeds --max-d {max_d}")
+            raise ValueError(f"d = {d if k == n else f'{p}^{n}'} exceeds {limit} {max_d}")
 
 
 def _verify_report(spec: FieldSpec, samples: int, seed: int) -> dict:
@@ -251,15 +248,12 @@ def _session_doc(args):
 
 def _session_config(args) -> SessionConfig:
     """Config from --config or the session flags, its field refused above
-    --max-d before it is built."""
-    if args.max_d > SESSION_MAX_D_LIMIT:
-        raise ValueError(f"--max-d must be at most 2^32 = {SESSION_MAX_D_LIMIT}, "
-                         f"got {args.max_d}")
+    SESSION_MAX_D before it is built."""
     try:
         doc = _session_doc(args)
         field = doc.get("field") if isinstance(doc, dict) else None
         if isinstance(field, dict):
-            _refuse_oversize(field.get("p"), field.get("n"), args.max_d)
+            _refuse_oversize(field.get("p"), field.get("n"), SESSION_MAX_D, "the session limit")
         return SessionConfig.from_json(doc)
     except RecursionError:
         raise ValueError("--config: document nested too deeply") from None
@@ -302,14 +296,15 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description="MUB entanglement simulator and protocol auditor")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_field_args(sp, max_d, p_required=True):
+    def add_field_args(sp, max_d=None, p_required=True):
         sp.add_argument("--p", type=int, required=p_required, default=None,
                         help="odd prime characteristic")
         sp.add_argument("--n", type=int, help="extension degree, d = p^n (default 1)")
         sp.add_argument("--modulus", help="comma-separated modulus coefficients c0,c1,... "
                         "(low-order first; default: the first irreducible one)")
-        sp.add_argument("--max-d", type=int, default=max_d,
-                        help="refuse dimensions d above this (default %(default)s)")
+        if max_d is not None:
+            sp.add_argument("--max-d", type=int, default=max_d,
+                            help="refuse dimensions d above this (default %(default)s)")
 
     sp = sub.add_parser("verify", help="run the invariant suite and report max deviations")
     add_field_args(sp, 81)
@@ -332,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_wigner)
 
     sp = sub.add_parser("session", help="run a protocol session and persist the transcript")
-    add_field_args(sp, SESSION_MAX_D, p_required=False)
+    add_field_args(sp, p_required=False)
     sp.add_argument("--rounds", type=int, help="number of rounds (required without --config)")
     sp.add_argument("--check-frac", type=float,
                     help=f"share of check rounds (default {SessionConfig.check_fraction})")

@@ -4,11 +4,14 @@ An element is stored as its canonical index sum(coeffs[i] * p**i), where
 coeffs (low-order first) represent it modulo a monic irreducible polynomial
 of degree n; the index order is used everywhere for bases and transcripts.
 Addition is digit-wise mod p on indices: for n >= 2 an index splits into
-three chunks of h = max(1, n // 2) base-p digits, and each pair of chunks is
-looked up in the add or sub table of FieldSpec.digit_tables (p^(2h) <= d
-entries each), so a sum costs three lookups whatever n is.  Products and the
-trace work on coefficients.  Phases need only tr(a*b), which index_arrays
-gives as digits[a] @ form @ digits[b] mod p through the n x n trace form.
+chunks of h base-p digits, h = n // 2 unless the tables would pass
+TABLE_MAX_ENTRIES, and each pair of chunks is looked up in the add or sub
+table of FieldSpec.digit_tables (p^(2h) <= min(d, TABLE_MAX_ENTRIES) entries
+each; computed on lookup if even p^2 passes the cap).  Up to
+d = TABLE_MAX_ENTRIES a sum costs at most three lookups whatever n is.
+Products and the trace work on coefficients.  Phases need only tr(a*b),
+which index_arrays gives as digits[a] @ form @ digits[b] mod p through the
+n x n trace form.
 """
 
 from __future__ import annotations
@@ -93,6 +96,24 @@ def find_irreducible(p: int, n: int) -> tuple[int, ...]:
     raise AssertionError("monic irreducibles exist for every degree")
 
 
+# Most entries in each digit table of a FieldSpec: 4 MiB of int32 apiece.
+TABLE_MAX_ENTRIES = 2 ** 20
+
+
+class _DigitOp:
+    """Digit table of one-digit chunks (q = p) for a p too large to tabulate:
+    entry x * p + y is (x + sign * y) % p, computed on lookup."""
+
+    __slots__ = ("p", "sign")
+
+    def __init__(self, p: int, sign: int):
+        self.p, self.sign = p, sign
+
+    def __getitem__(self, k: int) -> int:
+        x, y = divmod(k, self.p)
+        return (x + self.sign * y) % self.p
+
+
 def _integer(key: str, value) -> int:
     """value as an int; ValueError naming key for booleans, floats, strings and None."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -135,17 +156,23 @@ class FieldSpec:
         return self.p ** self.n
 
     @cached_property
-    def digit_tables(self) -> tuple[int, memoryview, memoryview]:
+    def digit_tables(self) -> tuple[int, object, object]:
         """(q, add, sub) for n >= 2, built on first use and kept on the instance.
 
-        q = p^h for chunks of h = max(1, n // 2) base-p digits; add[x * q + y]
-        and sub[x * q + y] are the chunks whose digits are those of x plus and
-        minus those of y, mod p.  Each is a read-only int32 view of q * q <= d
-        entries, built by vectorized digit arithmetic.  Not part of equality,
-        hashing or to_config.
+        q = p^h for chunks of h base-p digits, h the largest of 1 .. n // 2
+        whose q * q is at most TABLE_MAX_ENTRIES; add[x * q + y] and
+        sub[x * q + y] are the chunks whose digits are those of x plus and
+        minus those of y, mod p.  Each is a read-only int32 view of
+        q * q <= min(d, TABLE_MAX_ENTRIES) entries, built by vectorized digit
+        arithmetic; for p * p above the cap, h = 1 and each entry is computed
+        on lookup instead.  Not part of equality, hashing or to_config.
         """
         p, h = self.p, max(1, self.n // 2)
+        while h > 1 and p ** (2 * h) > TABLE_MAX_ENTRIES:
+            h -= 1
         q = p ** h
+        if q * q > TABLE_MAX_ENTRIES:
+            return q, _DigitOp(p, 1), _DigitOp(p, -1)
         k = np.arange(q, dtype=np.int32)
         add = np.zeros((q, q), dtype=np.int32)
         sub = np.zeros((q, q), dtype=np.int32)
@@ -284,14 +311,23 @@ def index_arrays(spec: FieldSpec):
     return digits, form, squares
 
 
+def _chunkwise(q: int, table, a: int, b: int) -> int:
+    """Index whose base-q chunks are table[x * q + y], for x and y the chunks of a and b."""
+    out, scale = 0, 1
+    while a or b:
+        out += table[a % q * q + b % q] * scale
+        a //= q
+        b //= q
+        scale *= q
+    return out
+
+
 def index_add(spec: FieldSpec, a: int, b: int) -> int:
     """Index of from_index(a) + from_index(b)."""
     if spec.n == 1:
         return (a + b) % spec.p
     q, add, _ = spec.digit_tables
-    qa, qb = a // q, b // q
-    return ((add[qa // q * q + qb // q] * q + add[qa % q * q + qb % q]) * q
-            + add[a % q * q + b % q])
+    return _chunkwise(q, add, a, b)
 
 
 def index_sub(spec: FieldSpec, a: int, b: int) -> int:
@@ -299,9 +335,7 @@ def index_sub(spec: FieldSpec, a: int, b: int) -> int:
     if spec.n == 1:
         return (a - b) % spec.p
     q, _, sub = spec.digit_tables
-    qa, qb = a // q, b // q
-    return ((sub[qa // q * q + qb // q] * q + sub[qa % q * q + qb % q]) * q
-            + sub[a % q * q + b % q])
+    return _chunkwise(q, sub, a, b)
 
 
 def index_neg(spec: FieldSpec, a: int) -> int:

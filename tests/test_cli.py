@@ -61,24 +61,12 @@ def test_session_rejects_oversize_dimension(tmp_path, capsys, monkeypatch, argv,
     monkeypatch.setattr(gf, "is_prime", _unreachable)
     monkeypatch.setattr(gf, "find_irreducible", _unreachable)
     assert main(["session", *argv, "--no-transcript", "--stats", str(tmp_path / "s.json")]) == 2
-    assert capsys.readouterr().err == f"error: d = {d} exceeds --max-d 1048576\n"
-
-
-def test_session_max_d(tmp_path, capsys):
-    argv = ["session", "--p", "3", "--n", "2", "--rounds", "5", "--no-transcript",
-            "--stats", str(tmp_path / "s.json")]
-    assert main(argv + ["--max-d", "8"]) == 2
-    assert capsys.readouterr().err == "error: d = 9 exceeds --max-d 8\n"
-    assert main(argv + ["--max-d", "9"]) == 0
-    assert main(argv + ["--max-d", str(2 ** 32)]) == 0
-    capsys.readouterr()
-    assert main(argv + ["--max-d", str(2 ** 32 + 1)]) == 2
-    assert capsys.readouterr().err.startswith("error: --max-d must be at most 2^32")
+    assert capsys.readouterr().err == f"error: d = {d} exceeds the session limit 1048576\n"
 
 
 def test_session_tables_fit_in_16_d_bytes():
     """The uniform cdf and both digit tables of the largest field of each
-    degree that session accepts by default take at most 16 * d bytes."""
+    degree that session accepts take at most 16 * d bytes."""
     limit = cli.SESSION_MAX_D
     try:
         for n in range(1, int(math.log(limit, 3)) + 1):
@@ -419,7 +407,7 @@ def _docs(required: dict, optional: dict):
 
 
 # Well-typed values mostly in range; _docs adds the wrong types and the rest.
-# p^n reaches past the default --max-d of 2^20 (101^3 is just below it).
+# p^n reaches past the session limit of 2^20 (101^3 is just below it).
 _FIELD_DOCS = _docs({"p": st.sampled_from([3, 5, 7, 11, 13, 101, 1031, 4294967311])},
                     {"n": st.integers(1, 7),
                      "modulus": st.sampled_from([[0, 1], [1, 0, 1], [2, 1, 1], [1, 2, 0, 1]])}
@@ -444,7 +432,7 @@ def test_any_config_document_runs_or_is_a_config_error(tmp_path, capsys, doc):
     an error line; no exception escapes main.
 
     n is at most 7 and p up to 4294967311, so d ranges from 3 to far past
-    the default --max-d, which must exit 2.  Other integers stay in
+    the session limit, which must exit 2.  Other integers stay in
     [-3, 20]: rounds at most 20 and swap repetitions at most 12, since a
     large round or repetition count would make a correct program slow, not
     wrong.

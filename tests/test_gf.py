@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mubqkd.gf import (FieldSpec, GfElem, find_irreducible, index_add, index_arrays, index_neg,
-                       index_sub, is_irreducible, is_prime)
+from mubqkd.gf import (TABLE_MAX_ENTRIES, FieldSpec, GfElem, find_irreducible, index_add,
+                       index_arrays, index_neg, index_sub, is_irreducible, is_prime)
 
 GF3 = FieldSpec(3, 1)
 GF5 = FieldSpec(5, 1)
@@ -302,3 +302,24 @@ def test_digit_tables_leave_spec_identity_alone():
     # a prime field adds directly and builds none
     index_sub(GF7, 2, 5)
     assert "digit_tables" not in vars(GF7)
+
+
+@pytest.mark.parametrize("spec, q", [(FieldSpec(7, 10), 7 ** 3), (FieldSpec(1031, 2), 1031)],
+                         ids=["7^10", "1031^2"])
+def test_large_field_sums_use_bounded_tables(spec, q):
+    """Past TABLE_MAX_ENTRIES the chunks shrink (7^10: four chunks of
+    three digits) or, for p * p above it, the one-digit entries are computed
+    on lookup; either way a sum allocates far less than d bytes."""
+    d = spec.d
+    tracemalloc.start()
+    try:
+        total = spec.from_index(d - 2) + spec.from_index(d // 3 + 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total.index == _digitwise(spec, d - 2, d // 3 + 5, 1)
+    assert peak < min(d, 16 * TABLE_MAX_ENTRIES)
+    assert spec.digit_tables[0] == q
+    for a, b in np.random.default_rng(d).integers(d, size=(2_000, 2)).tolist():
+        assert index_add(spec, a, b) == _digitwise(spec, a, b, 1)
+        assert index_sub(spec, a, b) == _digitwise(spec, a, b, -1)
