@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .entangle import entangled_mub, exponent_additivity_check, joint_c_measure, shift_remote
-from .gf import FieldSpec, index_add, index_sub
+from .gf import FieldSpec, index_add, index_sub, refuse_oversize
 from .hilbert import project_first
 from .mub import basis_matrix, mub_state, unbiasedness_report
 from .phasespace import dwigner1, dwigner2_support
@@ -28,9 +28,9 @@ VERIFY_TOL = 1e-12
 # offending value, is cut to this many characters, the last one an ellipsis.
 MAX_ERROR_CHARS = 200
 
-# Largest d a session runs: at d = 2^20 the uniform cdf and the digit tables
-# of a session take at most 16 * d bytes = 16 MiB.
-SESSION_MAX_D = 2 ** 20
+# Most --samples verify takes: it draws (samples, 4) int64 indices at once,
+# 32 MB at this count.
+VERIFY_MAX_SAMPLES = 10 ** 6
 
 
 def _flag_int(flag: str, what: str, text: str) -> int:
@@ -50,7 +50,7 @@ def _field_config(args) -> dict:
 
 def _field_from_args(args) -> FieldSpec:
     """The field of --p, --n and --modulus, refused above --max-d before it is built."""
-    _refuse_oversize(args.p, args.n, args.max_d)
+    refuse_oversize(args.p, 1 if args.n is None else args.n, args.max_d, "--max-d")
     return FieldSpec.from_config(_field_config(args))
 
 
@@ -65,23 +65,6 @@ def _tuple_stream(d: int, width: int, samples: int, rng):
     else:
         for row in rng.integers(0, d, size=(samples, width)):
             yield tuple(int(x) for x in row)
-
-
-def _refuse_oversize(p, n, max_d: int, limit: str = "--max-d"):
-    """ValueError if d = p^n exceeds max_d, which the message calls limit,
-    found before the field is built, since its primality test and modulus
-    search grow with p and d.
-    Multiplying stops once d passes max_d, so a huge n costs nothing.  A p or
-    n that is not an integer (n None meaning 1), or a p below 2, is left for
-    FieldSpec to report."""
-    n = 1 if n is None else n
-    if type(p) is not int or type(n) is not int or p < 2:
-        return
-    d = 1
-    for k in range(1, n + 1):
-        d *= p
-        if d > max_d:
-            raise ValueError(f"d = {d if k == n else f'{p}^{n}'} exceeds {limit} {max_d}")
 
 
 def _verify_report(spec: FieldSpec, samples: int, seed: int) -> dict:
@@ -146,6 +129,10 @@ def _verify_report(spec: FieldSpec, samples: int, seed: int) -> dict:
 def cmd_verify(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if args.samples > VERIFY_MAX_SAMPLES:
+        raise ValueError(f"--samples must be at most {VERIFY_MAX_SAMPLES}, got {args.samples}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     spec = _field_from_args(args)
     report = _verify_report(spec, args.samples, args.seed)
     print(json.dumps(report, indent=2))
@@ -247,14 +234,9 @@ def _session_doc(args):
 
 
 def _session_config(args) -> SessionConfig:
-    """Config from --config or the session flags, its field refused above
-    SESSION_MAX_D before it is built."""
+    """Config from --config or the session flags."""
     try:
-        doc = _session_doc(args)
-        field = doc.get("field") if isinstance(doc, dict) else None
-        if isinstance(field, dict):
-            _refuse_oversize(field.get("p"), field.get("n"), SESSION_MAX_D, "the session limit")
-        return SessionConfig.from_json(doc)
+        return SessionConfig.from_json(_session_doc(args))
     except RecursionError:
         raise ValueError("--config: document nested too deeply") from None
 
@@ -304,12 +286,14 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(low-order first; default: the first irreducible one)")
         if max_d is not None:
             sp.add_argument("--max-d", type=int, default=max_d,
-                            help="refuse dimensions d above this (default %(default)s)")
+                            help="refuse dimensions d above this (default %(default)s; "
+                            "d above the field limit 2^20 is refused whatever this is)")
 
     sp = sub.add_parser("verify", help="run the invariant suite and report max deviations")
     add_field_args(sp, 81)
     sp.add_argument("--samples", type=int, default=200,
-                    help="sample count per check when exhaustive scans are too large")
+                    help="sample count per check when exhaustive scans are too large "
+                    f"(at most {VERIFY_MAX_SAMPLES})")
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_verify)
 

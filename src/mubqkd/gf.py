@@ -1,14 +1,14 @@
-"""Exact arithmetic in GF(p^n) for odd primes p.
+"""Exact arithmetic in GF(p^n) for odd primes p, with d = p^n at most MAX_D.
 
 An element is stored as its canonical index sum(coeffs[i] * p**i), where
 coeffs (low-order first) represent it modulo a monic irreducible polynomial
 of degree n; the index order is used everywhere for bases and transcripts.
+FieldSpec refuses d above MAX_D before it tests p or looks for a modulus,
+so every table below holds at most d <= MAX_D entries.
 Addition is digit-wise mod p on indices: for n >= 2 an index splits into
-chunks of h base-p digits, h = n // 2 unless the tables would pass
-TABLE_MAX_ENTRIES, and each pair of chunks is looked up in the add or sub
-table of FieldSpec.digit_tables (p^(2h) <= min(d, TABLE_MAX_ENTRIES) entries
-each; computed on lookup if even p^2 passes the cap).  Up to
-d = TABLE_MAX_ENTRIES a sum costs at most three lookups whatever n is.
+chunks of h = n // 2 base-p digits, and each pair of chunks is looked up in
+the add or sub table of FieldSpec.digit_tables (p^(2h) <= d entries each),
+so a sum costs at most three lookups whatever n is.
 Products and the trace work on coefficients.  Phases need only tr(a*b),
 which index_arrays gives as digits[a] @ form @ digits[b] mod p through the
 n x n trace form.
@@ -96,22 +96,23 @@ def find_irreducible(p: int, n: int) -> tuple[int, ...]:
     raise AssertionError("monic irreducibles exist for every degree")
 
 
-# Most entries in each digit table of a FieldSpec: 4 MiB of int32 apiece.
-TABLE_MAX_ENTRIES = 2 ** 20
+# Largest field size d = p^n a FieldSpec accepts: its digit tables then take
+# at most 4 MiB of int32 apiece, and a session's uniform cdf 8 MiB.
+MAX_D = 2 ** 20
 
 
-class _DigitOp:
-    """Digit table of one-digit chunks (q = p) for a p too large to tabulate:
-    entry x * p + y is (x + sign * y) % p, computed on lookup."""
+def refuse_oversize(p: int, n: int, max_d: int, limit: str):
+    """ValueError if d = p^n exceeds max_d, which the message calls limit.
 
-    __slots__ = ("p", "sign")
-
-    def __init__(self, p: int, sign: int):
-        self.p, self.sign = p, sign
-
-    def __getitem__(self, k: int) -> int:
-        x, y = divmod(k, self.p)
-        return (x + self.sign * y) % self.p
+    Multiplying stops once d passes max_d, so a huge n costs nothing; a p
+    below 2 is left for the caller to report."""
+    if p < 2:
+        return
+    d = 1
+    for k in range(1, n + 1):
+        d *= p
+        if d > max_d:
+            raise ValueError(f"d = {d if k == n else f'{p}^{n}'} exceeds {limit} {max_d}")
 
 
 def _integer(key: str, value) -> int:
@@ -134,9 +135,10 @@ class FieldSpec:
 
     def __post_init__(self):
         p, n = _integer("p", self.p), _integer("n", self.n)
-        # n first: the primality test grows with p
+        # size before primality: the primality test and modulus search grow with p and d
         if n < 1:
             raise ValueError(f"extension degree must be at least 1, got {n}")
+        refuse_oversize(p, n, MAX_D, "the field limit")
         if p == 2 or not is_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
         if not isinstance(self.modulus, (list, tuple)):
@@ -156,23 +158,18 @@ class FieldSpec:
         return self.p ** self.n
 
     @cached_property
-    def digit_tables(self) -> tuple[int, object, object]:
-        """(q, add, sub) for n >= 2, built on first use and kept on the instance.
+    def digit_tables(self) -> tuple[int, memoryview, memoryview]:
+        """(q, add, sub), built on first use and kept on the instance.
 
-        q = p^h for chunks of h base-p digits, h the largest of 1 .. n // 2
-        whose q * q is at most TABLE_MAX_ENTRIES; add[x * q + y] and
-        sub[x * q + y] are the chunks whose digits are those of x plus and
-        minus those of y, mod p.  Each is a read-only int32 view of
-        q * q <= min(d, TABLE_MAX_ENTRIES) entries, built by vectorized digit
-        arithmetic; for p * p above the cap, h = 1 and each entry is computed
-        on lookup instead.  Not part of equality, hashing or to_config.
+        q = p^h for chunks of h = n // 2 base-p digits (q = 1 at n = 1, where
+        index_add never reads them); add[x * q + y] and sub[x * q + y] are the
+        chunks whose digits are those of x plus and minus those of y, mod p.
+        Each is a read-only int32 view of q * q <= d entries, built by
+        vectorized digit arithmetic.  Not part of equality, hashing or
+        to_config.
         """
-        p, h = self.p, max(1, self.n // 2)
-        while h > 1 and p ** (2 * h) > TABLE_MAX_ENTRIES:
-            h -= 1
+        p, h = self.p, self.n // 2
         q = p ** h
-        if q * q > TABLE_MAX_ENTRIES:
-            return q, _DigitOp(p, 1), _DigitOp(p, -1)
         k = np.arange(q, dtype=np.int32)
         add = np.zeros((q, q), dtype=np.int32)
         sub = np.zeros((q, q), dtype=np.int32)

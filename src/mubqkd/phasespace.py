@@ -113,25 +113,27 @@ class DiscreteWigner:
     table: np.ndarray   # (d, d) real, indexed [q, p]
 
 
-def _require_odd_prime(d: int):
+def _kernel(psi: np.ndarray, d: int):
+    """(plus, minus, fourier) of the Wigner kernel at dimension d: plus[q, u]
+    and minus[q, u] are q + h*u and q - h*u mod d, fourier[u, p] is
+    omega^(-p*u).  ValueError unless d is an odd prime and psi normalized."""
     if d % 2 == 0 or not is_prime(d):
         raise ValueError(f"discrete Wigner needs an odd prime dimension, got {d}")
+    if abs(float(np.vdot(psi, psi).real) - 1.0) > 1e-12:
+        raise ValueError("state must be normalized")
+    h = (d + 1) // 2
+    idx = np.arange(d)
+    plus = (idx[:, None] + h * idx[None, :]) % d
+    minus = (idx[:, None] - h * idx[None, :]) % d
+    return plus, minus, np.exp(-2j * np.pi * np.outer(idx, idx) / d)
 
 
 def dwigner1(state) -> DiscreteWigner:
     """Discrete Wigner table of a normalized single-particle state."""
     psi = as_state(state)
     d = psi.shape[0]
-    _require_odd_prime(d)
-    if abs(float(np.vdot(psi, psi).real) - 1.0) > 1e-12:
-        raise ValueError("state must be normalized")
-    h = (d + 1) // 2
-    idx = np.arange(d)
-    plus = (idx[:, None] + h * idx[None, :]) % d    # [q, u]
-    minus = (idx[:, None] - h * idx[None, :]) % d
-    auto = psi[plus] * psi[minus].conj()
-    fourier = np.exp(-2j * np.pi * np.outer(idx, idx) / d)   # [u, p]
-    table = (auto @ fourier).real / d
+    plus, minus, fourier = _kernel(psi, d)
+    table = ((psi[plus] * psi[minus].conj()) @ fourier).real / d
     table.setflags(write=False)
     return DiscreteWigner(d, table)
 
@@ -146,24 +148,9 @@ def dwigner2_support(pair, tol: float = SUPPORT_TOL) -> dict[tuple[int, int, int
     d = math.isqrt(psi.shape[0])
     if d * d != psi.shape[0]:
         raise ValueError("two-particle state must have a square dimension")
-    _require_odd_prime(d)
-    if abs(float(np.vdot(psi, psi).real) - 1.0) > 1e-12:
-        raise ValueError("state must be normalized")
-    h = (d + 1) // 2
-    idx = np.arange(d)
-    plus = (idx[:, None] + h * idx[None, :]) % d
-    minus = (idx[:, None] - h * idx[None, :]) % d
+    plus, minus, fourier = _kernel(psi, d)
     mat = psi.reshape(d, d)
     auto = (mat[plus[:, None, :, None], plus[None, :, None, :]]
             * mat[minus[:, None, :, None], minus[None, :, None, :]].conj())
-    fourier = np.exp(-2j * np.pi * np.outer(idx, idx) / d)
     table = np.einsum("abuv,ux,vy->axby", auto, fourier, fourier).real / (d * d)
-    support = {}
-    for q1 in range(d):
-        for p1 in range(d):
-            for q2 in range(d):
-                for p2 in range(d):
-                    v = float(table[q1, p1, q2, p2])
-                    if abs(v) > tol:
-                        support[(q1, p1, q2, p2)] = v
-    return support
+    return {tuple(k): float(table[tuple(k)]) for k in np.argwhere(np.abs(table) > tol).tolist()}

@@ -61,13 +61,13 @@ def test_session_rejects_oversize_dimension(tmp_path, capsys, monkeypatch, argv,
     monkeypatch.setattr(gf, "is_prime", _unreachable)
     monkeypatch.setattr(gf, "find_irreducible", _unreachable)
     assert main(["session", *argv, "--no-transcript", "--stats", str(tmp_path / "s.json")]) == 2
-    assert capsys.readouterr().err == f"error: d = {d} exceeds the session limit 1048576\n"
+    assert capsys.readouterr().err == f"error: field: d = {d} exceeds the field limit 1048576\n"
 
 
 def test_session_tables_fit_in_16_d_bytes():
     """The uniform cdf and both digit tables of the largest field of each
     degree that session accepts take at most 16 * d bytes."""
-    limit = cli.SESSION_MAX_D
+    limit = gf.MAX_D
     try:
         for n in range(1, int(math.log(limit, 3)) + 1):
             p = next(p for p in range(int(limit ** (1 / n)) + 1, 2, -1)
@@ -83,6 +83,18 @@ def test_verify_rejects_no_samples(capsys):
     for samples in ("0", "-3"):
         assert main(["verify", "--p", "3", "--n", "2", "--samples", samples]) == 2
         assert capsys.readouterr().err.startswith("error: --samples must be at least 1")
+
+
+def test_verify_rejects_negative_seed(capsys):
+    assert main(["verify", "--p", "3", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+
+
+def test_verify_rejects_too_many_samples(capsys, monkeypatch):
+    """(samples, 4) int64 indices are drawn at once: 32 GB at 10^9."""
+    monkeypatch.setattr(cli, "_verify_report", _unreachable)
+    assert main(["verify", "--p", "3", "--n", "2", "--samples", str(10 ** 9)]) == 2
+    assert capsys.readouterr().err == "error: --samples must be at most 1000000, got 1000000000\n"
 
 
 def test_verify_rejects_reducible_modulus():
@@ -432,7 +444,8 @@ def test_any_config_document_runs_or_is_a_config_error(tmp_path, capsys, doc):
     an error line; no exception escapes main.
 
     n is at most 7 and p up to 4294967311, so d ranges from 3 to far past
-    the session limit, which must exit 2.  Other integers stay in
+    the field limit, which must exit 2, and with the field's own line
+    whenever the field is the document's only error.  Other integers stay in
     [-3, 20]: rounds at most 20 and swap repetitions at most 12, since a
     large round or repetition count would make a correct program slow, not
     wrong.
@@ -447,8 +460,18 @@ def test_any_config_document_runs_or_is_a_config_error(tmp_path, capsys, doc):
     field = doc.get("field") if isinstance(doc, dict) else None
     if isinstance(field, dict):
         p, n = field.get("p"), 1 if field.get("n") is None else field.get("n")
-        if type(p) is int and type(n) is int and n >= 1 and p ** n > cli.SESSION_MAX_D:
-            assert err.startswith("error: d = "), err
+        if type(p) is int and type(n) is int and n >= 1 and p ** n > gf.MAX_D:
+            assert code == 2
+            if set(field) <= {"p", "n", "modulus"} and _is_config({**doc, "field": {"p": 23}}):
+                assert err.startswith("error: field: d = "), err
+
+
+def _is_config(doc) -> bool:
+    try:
+        SessionConfig.from_json(doc)
+    except ValueError:
+        return False
+    return True
 
 
 @pytest.mark.parametrize("argv, err", [

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mubqkd.gf import (TABLE_MAX_ENTRIES, FieldSpec, GfElem, find_irreducible, index_add,
-                       index_arrays, index_neg, index_sub, is_irreducible, is_prime)
+from mubqkd import gf
+from mubqkd.gf import (FieldSpec, GfElem, find_irreducible, index_add, index_arrays, index_neg,
+                       index_sub, is_irreducible, is_prime)
 
 GF3 = FieldSpec(3, 1)
 GF5 = FieldSpec(5, 1)
@@ -304,22 +305,27 @@ def test_digit_tables_leave_spec_identity_alone():
     assert "digit_tables" not in vars(GF7)
 
 
-@pytest.mark.parametrize("spec, q", [(FieldSpec(7, 10), 7 ** 3), (FieldSpec(1031, 2), 1031)],
-                         ids=["7^10", "1031^2"])
-def test_large_field_sums_use_bounded_tables(spec, q):
-    """Past TABLE_MAX_ENTRIES the chunks shrink (7^10: four chunks of
-    three digits) or, for p * p above it, the one-digit entries are computed
-    on lookup; either way a sum allocates far less than d bytes."""
-    d = spec.d
-    tracemalloc.start()
-    try:
-        total = spec.from_index(d - 2) + spec.from_index(d // 3 + 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert total.index == _digitwise(spec, d - 2, d // 3 + 5, 1)
-    assert peak < min(d, 16 * TABLE_MAX_ENTRIES)
-    assert spec.digit_tables[0] == q
-    for a, b in np.random.default_rng(d).integers(d, size=(2_000, 2)).tolist():
-        assert index_add(spec, a, b) == _digitwise(spec, a, b, 1)
-        assert index_sub(spec, a, b) == _digitwise(spec, a, b, -1)
+def _unreachable(*args):
+    raise AssertionError("the field was built before its size was checked")
+
+
+@pytest.mark.parametrize("p, n, d", [
+    (7, 10, "7^10"), (1031, 2, "1062961"), (3, 40, "3^40"), (4294967311, 1, "4294967311"),
+    (3, 13, "1594323"), (3, 10 ** 9, f"3^{10 ** 9}"),
+], ids=["7^10", "1031^2", "3^40", "4294967311", "3^13", "3^1e9"])
+def test_oversize_field_is_refused_before_it_is_built(monkeypatch, p, n, d):
+    monkeypatch.setattr(gf, "is_prime", _unreachable)
+    monkeypatch.setattr(gf, "find_irreducible", _unreachable)
+    with pytest.raises(ValueError) as exc:
+        FieldSpec(p, n)
+    assert str(exc.value) == f"d = {d} exceeds the field limit 1048576"
+
+
+def test_largest_prime_field_builds_with_tables_of_at_most_d_entries():
+    """1048573 is the largest prime below the limit; at n = 1 the chunks are
+    empty (q = 1), so the tables hold one entry, not p^2."""
+    spec = FieldSpec(1048573, 1)
+    assert spec.d <= gf.MAX_D
+    q, add, sub = spec.digit_tables
+    assert q == 1 and len(add) == len(sub) == 1 <= spec.d
+    assert index_add(spec, spec.d - 1, 5) == 4 and index_sub(spec, 2, 5) == spec.d - 3
