@@ -11,7 +11,10 @@ the add or sub table of FieldSpec.digit_tables (p^(2h) <= d entries each),
 so a sum costs at most three lookups whatever n is.
 Products and the trace work on coefficients.  Phases need only tr(a*b),
 which index_arrays gives as digits[a] @ form @ digits[b] mod p through the
-n x n trace form.
+n x n trace form.  index_arrays builds no GfElem: form[i, j] = tr(x^(i+j))
+comes from the coefficient vectors of the powers x^0 .. x^(3n-3), as the
+trace of multiplication by x^(i+j) on the basis 1, x, ..., x^(n-1).
+GfElem products and Frobenius traces stay the reference the tests use.
 """
 
 from __future__ import annotations
@@ -144,11 +147,12 @@ class FieldSpec:
         if not isinstance(self.modulus, (list, tuple)):
             raise ValueError(f"modulus: expected a sequence, got {self.modulus!r}")
         mod = tuple(_integer(f"modulus[{i}]", c) % p for i, c in enumerate(self.modulus))
+        # find_irreducible's result is irreducible by construction; only a given modulus is tested
         if not mod:
             mod = find_irreducible(p, n)
-        if len(mod) != n + 1 or mod[-1] != 1:
+        elif len(mod) != n + 1 or mod[-1] != 1:
             raise ValueError(f"modulus must be monic of degree {n}, got {list(mod)}")
-        if not is_irreducible(mod, p):
+        elif not is_irreducible(mod, p):
             raise ValueError(f"modulus {list(mod)} is reducible over GF({p})")
         for name, value in (("p", p), ("n", n), ("modulus", mod)):
             object.__setattr__(self, name, value)
@@ -294,14 +298,24 @@ class GfElem:
 def index_arrays(spec: FieldSpec):
     """Read-only (digits, form, squares), O(d * n) in all: the n base-p digits
     of each index, the trace form form[i, j] = tr(x^i * x^j), and the index of
-    k * k for each k.  tr(a * b) is digits[a] @ form @ digits[b] % p."""
-    p, n = spec.p, spec.n
+    k * k for each k.  tr(a * b) is digits[a] @ form @ digits[b] % p.
+
+    Built from the coefficients of x^0 .. x^(3n-3), each x times the last,
+    reduced by the monic modulus.  tr(x^k) is the trace of "multiply by x^k",
+    which sends x^i to x^(i+k): the sum over i of coefficient i of x^(i+k).
+    The form is the Hankel matrix of tr(x^0) .. tr(x^(2n-2)), and x^i * x^j
+    has the coefficients of x^(i+j)."""
+    p, n, mod = spec.p, spec.n, spec.modulus
     place = p ** np.arange(n)
     digits = np.arange(spec.d)[:, None] // place % p
-    monomials = [spec.from_index(p ** i) for i in range(n)]          # x^0 .. x^(n-1)
-    prods = [[a * b for b in monomials] for a in monomials]
-    form = np.array([[ab.trace() for ab in row] for row in prods])
-    prod_digits = np.array([[ab.coeffs for ab in row] for row in prods])
+    powers = [[1] + [0] * (n - 1)]
+    for _ in range(3 * n - 3):          # shift up; the x^n term becomes -top * (modulus - x^n)
+        prev = powers[-1]
+        powers.append([(c - prev[-1] * m) % p for c, m in zip([0] + prev[:-1], mod)])
+    traces = [sum(powers[i + k][i] for i in range(n)) % p for k in range(2 * n - 1)]
+    hankel = np.add.outer(np.arange(n), np.arange(n))
+    form = np.array(traces)[hankel]
+    prod_digits = np.array(powers[:2 * n - 1])[hankel]
     squares = np.einsum("ki,kj,ijl->kl", digits, digits, prod_digits) % p @ place
     for t in (digits, form, squares):
         t.setflags(write=False)
@@ -310,6 +324,8 @@ def index_arrays(spec: FieldSpec):
 
 def _chunkwise(q: int, table, a: int, b: int) -> int:
     """Index whose base-q chunks are table[x * q + y], for x and y the chunks of a and b."""
+    if b == 0:                          # a + 0 = a - 0 = a
+        return a
     out, scale = 0, 1
     while a or b:
         out += table[a % q * q + b % q] * scale

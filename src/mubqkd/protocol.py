@@ -414,7 +414,8 @@ def run_round(config: SessionConfig, round_index: int, rng) -> RoundRecord:
     c1 = _uniform_outcome(d, rng)
     c1p = _uniform_outcome(d, rng)
     b2 = index_sub(spec, b, b1)
-    bob1 = (b2, index_sub(spec, c, c1))
+    expected = index_sub(spec, c, c1)
+    bob1 = (b2, expected)
     bob2 = (b2, index_sub(spec, index_sub(spec, c, delta), c1p))
 
     eve_basis = eve_outcome = None
@@ -435,7 +436,7 @@ def run_round(config: SessionConfig, round_index: int, rng) -> RoundRecord:
                                config.swap_repetitions, rng)
     else:
         rec.check_b2 = b2
-        rec.check_expected = index_sub(spec, c, c1)
+        rec.check_expected = expected
         rec.check_measured = _measure(bob1, b2, d, rng)
         rec.check_passed = rec.check_measured == rec.check_expected
     return rec

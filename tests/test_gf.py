@@ -102,6 +102,28 @@ def test_bad_field_parameters_rejected():
             FieldSpec(p, n)
 
 
+def test_default_modulus_is_tested_once(monkeypatch):
+    calls = []
+
+    def counting(poly, p):
+        calls.append(tuple(poly))
+        return is_irreducible(poly, p)
+
+    monkeypatch.setattr(gf, "is_irreducible", counting)
+    default = gf.find_irreducible(3, 5)
+    search = calls.copy()
+    calls.clear()
+    assert FieldSpec(3, 5).modulus == default
+    assert calls == search                               # the search alone, no re-test
+    calls.clear()
+    with pytest.raises(ValueError, match=r"^modulus \[0, 0, 1\] is reducible over GF\(3\)$"):
+        FieldSpec(3, 2, (0, 0, 1))
+    assert calls == [(0, 0, 1)]
+    with pytest.raises(ValueError, match=r"^modulus must be monic of degree 2, got \[1, 0, 2\]$"):
+        FieldSpec(3, 2, (1, 0, 2))
+    assert calls == [(0, 0, 1)]
+
+
 def test_modulus_override():
     spec = FieldSpec(3, 2, (2, 1, 1))      # x^2 + x + 2, no roots mod 3
     a, b = spec.from_index(4), spec.from_index(7)
@@ -235,6 +257,56 @@ def test_trace_form_matches_element_arithmetic(spec):
     assert np.array_equal(digits[[index_neg(spec, k) for k in range(spec.d)]], -digits % spec.p)
 
 
+def _reference_index_arrays(spec):
+    """index_arrays from GfElem products of the monomials and Frobenius traces."""
+    p, n = spec.p, spec.n
+    place = p ** np.arange(n)
+    digits = np.arange(spec.d)[:, None] // place % p
+    monomials = [spec.from_index(p ** i) for i in range(n)]          # x^0 .. x^(n-1)
+    prods = [[a * b for b in monomials] for a in monomials]
+    form = np.array([[ab.trace() for ab in row] for row in prods])
+    prod_digits = np.array([[ab.coeffs for ab in row] for row in prods])
+    squares = np.einsum("ki,kj,ijl->kl", digits, digits, prod_digits) % p @ place
+    return digits, form, squares
+
+
+def _monic_irreducibles(p, n):
+    tails = itertools.product(range(p), repeat=n)
+    return [FieldSpec(p, n, t + (1,)) for t in tails if is_irreducible(t + (1,), p)]
+
+
+FORM_SPECS = ([s for p, n in [(3, 2), (3, 3), (3, 4), (5, 2), (7, 2)] for s in _monic_irreducibles(p, n)]
+              + [FieldSpec(p, n) for p, n in [(3, 5), (3, 6), (3, 7), (5, 4), (7, 3), (11, 2)]])
+
+
+@pytest.mark.parametrize("spec", FORM_SPECS, ids=lambda s: f"{s.p}^{s.n}-{''.join(map(str, s.modulus))}")
+def test_index_arrays_match_element_reference(spec):
+    got, want = index_arrays(spec), _reference_index_arrays(spec)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.int64 and g.shape == w.shape
+        assert np.array_equal(g, w)
+        assert not g.flags.writeable
+
+
+def test_monic_irreducible_counts_match_gauss_formula():
+    # (1/n) * sum over k | n of mu(k) * p^(n/k): every modulus of these fields is in FORM_SPECS
+    assert [len(_monic_irreducibles(p, n)) for p, n in [(3, 2), (3, 3), (3, 4), (5, 2), (7, 2)]] == [
+        3, 8, 18, 10, 21]
+
+
+def test_index_arrays_build_no_elements(monkeypatch):
+    spec = FieldSpec(3, 5)
+
+    def refuse(self):
+        raise AssertionError("a GfElem was built")
+
+    monkeypatch.setattr(GfElem, "__post_init__", refuse)
+    digits, form, squares = index_arrays.__wrapped__(spec)
+    monkeypatch.undo()
+    assert all(np.array_equal(g, w) for g, w in zip((digits, form, squares),
+                                                    _reference_index_arrays(spec)))
+
+
 def test_field_arrays_are_o_d_n():
     spec = FieldSpec(3, 6)
     d, n = spec.d, spec.n
@@ -268,6 +340,9 @@ def test_index_arithmetic_matches_digitwise_reference(spec):
         assert index_sub(spec, a, b) == _digitwise(spec, a, b, -1)
     for a in range(min(d, 2_000)):
         assert index_neg(spec, a) == _digitwise(spec, 0, a, -1)
+    for a in [*range(min(d, 50)), d - 1]:               # a zero operand on either side
+        assert index_add(spec, a, 0) == index_sub(spec, a, 0) == index_add(spec, 0, a) == a
+        assert index_sub(spec, 0, a) == _digitwise(spec, 0, a, -1)
 
 
 @pytest.mark.parametrize("spec", TABLE_SPECS, ids=TABLE_IDS)
