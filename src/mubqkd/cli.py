@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 invariant failure, 2 usage or config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import sys
@@ -143,28 +144,28 @@ def cmd_verify(args) -> int:
 # bases / wigner dumps
 # ---------------------------------------------------------------------------
 
-def _emit(lines, path):
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(header: str, rows, path):
+    """Write the header, then each row as it arrives, to path or stdout."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(row + "\n")
 
 
-def cmd_bases(args) -> int:
-    spec = _field_from_args(args)
+def _basis_rows(spec: FieldSpec):
+    """One CSV row per amplitude; the computational basis, index d, is tagged -1."""
     d = spec.d
-    lines = ["basis,b_index,c_index,n_index,re,im"]
     for basis in range(d + 1):
-        # the computational basis, index d, is tagged -1
         fam, b_idx = ("computational", -1) if basis == d else ("quadratic", basis)
         mat = basis_matrix(spec, basis)
         for c_idx in range(d):
             for n_idx in range(d):
                 v = mat[c_idx, n_idx]
-                lines.append(f"{fam},{b_idx},{c_idx},{n_idx},{float(v.real)!r},{float(v.imag)!r}")
-    _emit(lines, args.out)
+                yield f"{fam},{b_idx},{c_idx},{n_idx},{float(v.real)!r},{float(v.imag)!r}"
+
+
+def cmd_bases(args) -> int:
+    _emit("basis,b_index,c_index,n_index,re,im", _basis_rows(_field_from_args(args)), args.out)
     return 0
 
 
@@ -177,16 +178,12 @@ def cmd_wigner(args) -> int:
         raise ValueError(f"--b and --c must lie in [0, {d})")
     if args.pair:
         support = dwigner2_support(entangled_mub(spec, args.b, args.c))
-        lines = ["q1,p1,q2,p2,value"]
-        for (q1, p1, q2, p2), v in sorted(support.items()):
-            lines.append(f"{q1},{p1},{q2},{p2},{v!r}")
+        _emit("q1,p1,q2,p2,value", (f"{q1},{p1},{q2},{p2},{v!r}"
+                                    for (q1, p1, q2, p2), v in support.items()), args.out)
     else:
         table = dwigner1(mub_state(spec, args.b, args.c)).table
-        lines = ["q,p,value"]
-        for q in range(d):
-            for p in range(d):
-                lines.append(f"{q},{p},{float(table[q, p])!r}")
-    _emit(lines, args.out)
+        _emit("q,p,value", (f"{q},{p},{float(table[q, p])!r}"
+                            for q in range(d) for p in range(d)), args.out)
     return 0
 
 

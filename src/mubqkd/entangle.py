@@ -21,7 +21,6 @@ from .mub import basis_matrix, mub_state
 @dataclass(frozen=True, eq=False)
 class EntangledPair:
     spec: FieldSpec
-    label: tuple[int, int]   # (b, c), the label of the single-particle state it mirrors
     state: np.ndarray   # dimension d^2, supported on the diagonal n1 == n2
 
 
@@ -33,7 +32,7 @@ def entangled_mub(spec: FieldSpec, b: int, c: int) -> EntangledPair:
     single = mub_state(spec, b, c)
     state = np.zeros(d * d, dtype=complex)
     state[np.arange(d) * (d + 1)] = single
-    return EntangledPair(spec, (b, c), state)
+    return EntangledPair(spec, state)
 
 
 def measure_first(pair: EntangledPair, b1: int, rng) -> tuple[int, np.ndarray]:
@@ -98,12 +97,11 @@ def joint_c_measure(spec: FieldSpec, state, b: int, rng) -> tuple[int | None, np
     return None, resid / np.linalg.norm(resid)
 
 
-def exponent_additivity_check(spec: FieldSpec, b1: int, c1: int, b2: int, c2: int,
-                              tol: float = 1e-12) -> bool:
+def exponent_additivity_check(spec: FieldSpec, b1: int, c1: int, b2: int, c2: int) -> bool:
     """Phase factors of (b1+b2, c1+c2) equal the product of the two factors
     at every position n."""
     root_d = np.sqrt(spec.d)
     f1 = mub_state(spec, b1, c1) * root_d
     f2 = mub_state(spec, b2, c2) * root_d
     fsum = mub_state(spec, index_add(spec, b1, b2), index_add(spec, c1, c2)) * root_d
-    return float(np.max(np.abs(fsum - f1 * f2))) < tol
+    return float(np.max(np.abs(fsum - f1 * f2))) < 1e-12

@@ -12,7 +12,7 @@ so a sum costs at most three lookups whatever n is.
 Products and the trace work on coefficients.  Phases need only tr(a*b),
 which index_arrays gives as digits[a] @ form @ digits[b] mod p through the
 n x n trace form.  index_arrays builds no GfElem: form[i, j] = tr(x^(i+j))
-comes from the coefficient vectors of the powers x^0 .. x^(3n-3), as the
+comes from the remainders of x^0 .. x^(3n-3) by the modulus, as the
 trace of multiplication by x^(i+j) on the basis 1, x, ..., x^(n-1).
 GfElem products and Frobenius traces stay the reference the tests use.
 """
@@ -300,18 +300,15 @@ def index_arrays(spec: FieldSpec):
     of each index, the trace form form[i, j] = tr(x^i * x^j), and the index of
     k * k for each k.  tr(a * b) is digits[a] @ form @ digits[b] % p.
 
-    Built from the coefficients of x^0 .. x^(3n-3), each x times the last,
-    reduced by the monic modulus.  tr(x^k) is the trace of "multiply by x^k",
-    which sends x^i to x^(i+k): the sum over i of coefficient i of x^(i+k).
+    Built from the coefficients of x^0 .. x^(3n-3), each reduced by the
+    monic modulus.  tr(x^k) is the trace of "multiply by x^k", which sends
+    x^i to x^(i+k): the sum over i of coefficient i of x^(i+k).
     The form is the Hankel matrix of tr(x^0) .. tr(x^(2n-2)), and x^i * x^j
     has the coefficients of x^(i+j)."""
     p, n, mod = spec.p, spec.n, spec.modulus
     place = p ** np.arange(n)
     digits = np.arange(spec.d)[:, None] // place % p
-    powers = [[1] + [0] * (n - 1)]
-    for _ in range(3 * n - 3):          # shift up; the x^n term becomes -top * (modulus - x^n)
-        prev = powers[-1]
-        powers.append([(c - prev[-1] * m) % p for c, m in zip([0] + prev[:-1], mod)])
+    powers = [_poly_rem([0] * k + [1], mod, p) for k in range(3 * n - 2)]
     traces = [sum(powers[i + k][i] for i in range(n)) % p for k in range(2 * n - 1)]
     hankel = np.add.outer(np.arange(n), np.arange(n))
     form = np.array(traces)[hankel]

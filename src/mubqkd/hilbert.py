@@ -26,9 +26,9 @@ def basis_state(dim: int, k: int) -> np.ndarray:
     return e
 
 
-def is_normalized(u, tol: float = NORM_TOL) -> bool:
+def is_normalized(u) -> bool:
     u = as_state(u)
-    return abs(float(np.vdot(u, u).real) - 1.0) < tol
+    return abs(float(np.vdot(u, u).real) - 1.0) < NORM_TOL
 
 
 def inner(u, v) -> complex:

@@ -67,10 +67,10 @@ class UnbiasednessReport:
     max_orthonormality_deviation: float  # of each Gram matrix from the identity
     max_completeness_deviation: float    # of each resolution of identity
 
-    def ok(self, cross_tol: float = 1e-9, ortho_tol: float = 1e-12) -> bool:
-        return (self.max_cross_deviation < cross_tol
-                and self.max_orthonormality_deviation < ortho_tol
-                and self.max_completeness_deviation < ortho_tol)
+    def ok(self) -> bool:
+        return (self.max_cross_deviation < 1e-9
+                and self.max_orthonormality_deviation < 1e-12
+                and self.max_completeness_deviation < 1e-12)
 
 
 def unbiasedness_report(spec: FieldSpec) -> UnbiasednessReport:

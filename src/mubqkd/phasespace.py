@@ -10,6 +10,8 @@ omega = exp(2*pi*i/d):
 
     W(q, p) = (1/d) * sum_u psi[q + h*u] * conj(psi[q - h*u]) * omega^(-p*u)
 
+The sum over u is numpy's FFT (over u and v for two particles).
+
 Under this convention a quadratic-phase basis state (b, c) is supported
 on the line p = 2*b*q + c; the factor 2 appears because the state phase
 carries b*n^2 rather than (b/2)*n^2.  The two-particle kernel puts the
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import is_prime
-from .hilbert import as_state
+from .hilbert import as_state, is_normalized
 
 EQ_TOL = 1e-12
 SUPPORT_TOL = 1e-10
@@ -70,12 +72,12 @@ def cv_shift(label: CvLabel, lam: float) -> CvLabel:
     return CvLabel(label.b, label.c + lam)
 
 
-def cv_equal_delta(l1: CvLabel, l2: CvLabel, tol: float = EQ_TOL) -> bool:
-    """Same-basis delta correlation: true iff the intercepts agree within tol."""
-    same_b = (math.isinf(l1.b) and math.isinf(l2.b)) or abs(l1.b - l2.b) < tol
+def cv_equal_delta(l1: CvLabel, l2: CvLabel) -> bool:
+    """Same-basis delta correlation: true iff the intercepts agree within EQ_TOL."""
+    same_b = (math.isinf(l1.b) and math.isinf(l2.b)) or abs(l1.b - l2.b) < EQ_TOL
     if not same_b:
         raise ValueError("labels compare within one basis only")
-    return abs(l1.c - l2.c) < tol
+    return abs(l1.c - l2.c) < EQ_TOL
 
 
 @dataclass(frozen=True)
@@ -84,19 +86,19 @@ class LineIntersection:
     point: tuple[float, float] | None = None
 
 
-def cv_intersect(l1: CvLine, l2: CvLine, tol: float = EQ_TOL) -> LineIntersection:
+def cv_intersect(l1: CvLine, l2: CvLine) -> LineIntersection:
     """Distinct slopes meet once; equal slopes never, unless the lines coincide."""
     v1, v2 = not math.isfinite(l1.slope), not math.isfinite(l2.slope)
     if v1 and v2:
-        if abs(l1.intercept - l2.intercept) < tol:
+        if abs(l1.intercept - l2.intercept) < EQ_TOL:
             return LineIntersection("degenerate")
         return LineIntersection("none")
     if v1 or v2:
         vert, line = (l1, l2) if v1 else (l2, l1)
         q = vert.intercept
         return LineIntersection("point", (q, line.slope * q + line.intercept))
-    if abs(l1.slope - l2.slope) < tol:
-        if abs(l1.intercept - l2.intercept) < tol:
+    if abs(l1.slope - l2.slope) < EQ_TOL:
+        if abs(l1.intercept - l2.intercept) < EQ_TOL:
             return LineIntersection("degenerate")
         return LineIntersection("none")
     q = (l2.intercept - l1.intercept) / (l1.slope - l2.slope)
@@ -114,43 +116,49 @@ class DiscreteWigner:
 
 
 def _kernel(psi: np.ndarray, d: int):
-    """(plus, minus, fourier) of the Wigner kernel at dimension d: plus[q, u]
-    and minus[q, u] are q + h*u and q - h*u mod d, fourier[u, p] is
-    omega^(-p*u).  ValueError unless d is an odd prime and psi normalized."""
+    """(plus, minus) of the Wigner kernel at dimension d: plus[q, u] and
+    minus[q, u] are q + h*u and q - h*u mod d.  ValueError unless d is an
+    odd prime and psi normalized."""
     if d % 2 == 0 or not is_prime(d):
         raise ValueError(f"discrete Wigner needs an odd prime dimension, got {d}")
-    if abs(float(np.vdot(psi, psi).real) - 1.0) > 1e-12:
+    if not is_normalized(psi):
         raise ValueError("state must be normalized")
     h = (d + 1) // 2
     idx = np.arange(d)
-    plus = (idx[:, None] + h * idx[None, :]) % d
-    minus = (idx[:, None] - h * idx[None, :]) % d
-    return plus, minus, np.exp(-2j * np.pi * np.outer(idx, idx) / d)
+    return (idx[:, None] + h * idx[None, :]) % d, (idx[:, None] - h * idx[None, :]) % d
 
 
 def dwigner1(state) -> DiscreteWigner:
-    """Discrete Wigner table of a normalized single-particle state."""
+    """Discrete Wigner table of a normalized single-particle state; the sum
+    over u is numpy's FFT of each row q."""
     psi = as_state(state)
     d = psi.shape[0]
-    plus, minus, fourier = _kernel(psi, d)
-    table = ((psi[plus] * psi[minus].conj()) @ fourier).real / d
+    plus, minus = _kernel(psi, d)
+    table = np.fft.fft(psi[plus] * psi[minus].conj()).real / d
     table.setflags(write=False)
     return DiscreteWigner(d, table)
 
 
-def dwigner2_support(pair, tol: float = SUPPORT_TOL) -> dict[tuple[int, int, int, int], float]:
-    """Nonzero points of the two-particle Wigner table, keyed (q1, p1, q2, p2).
+def dwigner2_support(pair) -> dict[tuple[int, int, int, int], float]:
+    """Points of the two-particle Wigner table above SUPPORT_TOL in absolute
+    value, keyed (q1, p1, q2, p2).
 
     Accepts an EntangledPair or a raw d^2-dimensional vector; keys come
-    out in lexicographic order.
+    out in lexicographic order.  The table is built one q1 slice at a time:
+    a 2-d FFT over the shifts u and v of auto[u, q2, v] =
+    psi(q1+hu, q2+hv) * conj(psi(q1-hu, q2-hv)), O(d^4 log d) time and
+    O(d^3) memory in all.
     """
     psi = np.asarray(getattr(pair, "state", pair), dtype=complex)
     d = math.isqrt(psi.shape[0])
     if d * d != psi.shape[0]:
         raise ValueError("two-particle state must have a square dimension")
-    plus, minus, fourier = _kernel(psi, d)
+    plus, minus = _kernel(psi, d)
     mat = psi.reshape(d, d)
-    auto = (mat[plus[:, None, :, None], plus[None, :, None, :]]
-            * mat[minus[:, None, :, None], minus[None, :, None, :]].conj())
-    table = np.einsum("abuv,ux,vy->axby", auto, fourier, fourier).real / (d * d)
-    return {tuple(k): float(table[tuple(k)]) for k in np.argwhere(np.abs(table) > tol).tolist()}
+    support = {}
+    for q1 in range(d):
+        auto = mat[plus[q1]][:, plus] * mat[minus[q1]][:, minus].conj()
+        table = np.fft.fft2(auto, axes=(0, 2)).real / (d * d)      # [p1, q2, p2]
+        for p1, q2, p2 in np.argwhere(np.abs(table) > SUPPORT_TOL).tolist():
+            support[q1, p1, q2, p2] = float(table[p1, q2, p2])
+    return support

@@ -541,15 +541,15 @@ def run_session(config: SessionConfig) -> Transcript:
 
 
 def run_cv_round(bit: int, rng, b: float | None = None, c: float | None = None,
-                 delta: float = 0.0, interval: tuple[float, float] = (-10.0, 10.0)) -> dict:
+                 delta: float = 0.0) -> dict:
     """Label-level continuous-variable analog of one message round.
 
-    Measurement outcomes are drawn uniformly from a finite interval (a
-    uniform distribution over all reals is improper).  The label algebra
-    reproduces the same-basis delta correlation: the shifted second label
-    matches the first exactly when lambda equals c1' - c1 + delta.
+    Measurement outcomes are drawn uniformly from [-10, 10) (a uniform
+    distribution over all reals is improper).  The label algebra reproduces
+    the same-basis delta correlation: the shifted second label matches the
+    first exactly when lambda equals c1' - c1 + delta.
     """
-    lo, hi = interval
+    lo, hi = -10.0, 10.0
     if b is None:
         b = float(rng.uniform(lo, hi))
     if c is None:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from mubqkd.gf import FieldSpec
 from mubqkd.hilbert import basis_state
 from mubqkd.mub import mub_state
 from mubqkd.entangle import entangled_mub
-from mubqkd.phasespace import (CvLabel, CvLine, cv_equal_delta, cv_intersect,
+from mubqkd.phasespace import (SUPPORT_TOL, CvLabel, CvLine, cv_equal_delta, cv_intersect,
                                cv_shift, cv_split, dwigner1, dwigner2_support,
                                label_of_line, line_of_label)
 
@@ -200,3 +201,76 @@ def test_dwigner2_rejects_composite():
     psi[0] = 1.0
     with pytest.raises(ValueError):
         dwigner2_support(psi)
+
+
+# ---------------------------------------------------------------------------
+# discrete Wigner against the explicit DFT-matrix construction
+# ---------------------------------------------------------------------------
+
+def _reference_kernel(d):
+    """plus, minus and the d x d DFT matrix omega^(-p*u) of the Wigner kernel."""
+    h = (d + 1) // 2
+    idx = np.arange(d)
+    plus = (idx[:, None] + h * idx[None, :]) % d
+    minus = (idx[:, None] - h * idx[None, :]) % d
+    return plus, minus, np.exp(-2j * np.pi * np.outer(idx, idx) / d)
+
+
+def _reference_dwigner1(psi):
+    d = psi.shape[0]
+    plus, minus, fourier = _reference_kernel(d)
+    return ((psi[plus] * psi[minus].conj()) @ fourier).real / d
+
+
+def _reference_dwigner2_support(psi):
+    """The whole d^4 table from one einsum, thresholded at SUPPORT_TOL."""
+    d = math.isqrt(psi.shape[0])
+    plus, minus, fourier = _reference_kernel(d)
+    mat = psi.reshape(d, d)
+    auto = (mat[plus[:, None, :, None], plus[None, :, None, :]]
+            * mat[minus[:, None, :, None], minus[None, :, None, :]].conj())
+    table = np.einsum("abuv,ux,vy->axby", auto, fourier, fourier).real / (d * d)
+    return {tuple(k): float(table[tuple(k)])
+            for k in np.argwhere(np.abs(table) > SUPPORT_TOL).tolist()}
+
+
+def _assert_same_support(got, want):
+    assert list(got) == list(want)
+    assert all(abs(got[k] - want[k]) < 1e-12 for k in want)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11])
+def test_dwigner1_matches_dft_matrix_reference(d):
+    spec = FieldSpec(d, 1)
+    for basis, c in itertools.product(range(d + 1), range(d)):
+        psi = mub_state(spec, basis, c)
+        assert np.max(np.abs(dwigner1(psi).table - _reference_dwigner1(psi))) < 1e-12
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_dwigner2_support_matches_einsum_reference_on_pairs(d):
+    spec = FieldSpec(d, 1)
+    for b, c in itertools.product(range(d), repeat=2):
+        pair = entangled_mub(spec, b, c)
+        _assert_same_support(dwigner2_support(pair), _reference_dwigner2_support(pair.state))
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_dwigner2_support_matches_einsum_reference_on_random_states(d):
+    rng = np.random.default_rng(100 + d)
+    for _ in range(5):
+        psi = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+        psi /= np.linalg.norm(psi)
+        _assert_same_support(dwigner2_support(psi), _reference_dwigner2_support(psi))
+
+
+def test_dwigner2_support_never_holds_a_d4_table():
+    # at d = 37 one d^4 complex array is 29 MiB; a q1 slice is 0.8 MiB
+    pair = entangled_mub(FieldSpec(37, 1), 1, 2)
+    tracemalloc.start()
+    try:
+        dwigner2_support(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
