@@ -1,17 +1,14 @@
 """Qudit MUB entanglement toolkit: finite-field bases, entangled pairs,
 discrete phase space, and a key-distribution protocol simulator."""
 
-from .entangle import (EntangledPair, entangled_mub, exponent_additivity_check,
-                       joint_c_measure, measure_first, shift_remote)
+from .entangle import (entangled_mub, exponent_additivity_check, joint_c_measure,
+                       measure_first, shift_remote)
 from .gf import FieldSpec, GfElem, find_irreducible, is_irreducible, is_prime
 from .hilbert import (apply_diag_phase, basis_state, born_sample, inner,
                       project_first, swap_test, tensor)
-from .mub import (UnbiasednessReport, basis_matrix, mub_basis, mub_state,
-                  unbiasedness_report)
-from .phasespace import (CvLabel, CvLine, DiscreteWigner, LineIntersection,
-                         cv_equal_delta, cv_intersect, cv_shift, cv_split,
-                         dwigner1, dwigner2_support, label_of_line,
-                         line_of_label)
+from .mub import UnbiasednessReport, basis_matrix, mub_state, unbiasedness_report
+from .phasespace import (CvLabel, LineIntersection, cv_equal_delta, cv_intersect,
+                         cv_shift, cv_split, dwigner1, dwigner2_support)
 from .protocol import (EveStrategy, RoundRecord, SessionConfig, Transcript,
                        eavesdropper_detected, run_cv_round, run_round,
                        run_round_dense, run_session, session_records,

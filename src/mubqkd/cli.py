@@ -76,7 +76,7 @@ def _verify_report(spec: FieldSpec, samples: int, seed: int) -> dict:
 
     proj_dev = proj_norm_dev = 0.0
     for b, c, b1, c1 in _tuple_stream(d, 4, samples, rng):
-        w = project_first(entangled_mub(spec, b, c).state, mub_state(spec, b1, c1))
+        w = project_first(entangled_mub(spec, b, c), mub_state(spec, b1, c1))
         expect = mub_state(spec, index_sub(spec, b, b1), index_sub(spec, c, c1)) / root_d
         proj_dev = max(proj_dev, float(np.max(np.abs(w - expect))))
         proj_norm_dev = max(proj_norm_dev, abs(float(np.vdot(w, w).real) - 1.0 / d))
@@ -90,7 +90,7 @@ def _verify_report(spec: FieldSpec, samples: int, seed: int) -> dict:
     epr = entangled_mub(spec, 0, 0)
     epr_target = np.zeros(d * d, dtype=complex)
     epr_target[np.arange(d) * (d + 1)] = 1.0 / root_d
-    epr_dev = float(np.max(np.abs(epr.state - epr_target)))
+    epr_dev = float(np.max(np.abs(epr - epr_target)))
 
     additivity = all(exponent_additivity_check(spec, *labels)
                      for labels in _tuple_stream(d, 4, samples, rng))
@@ -153,11 +153,15 @@ def _emit(header: str, rows, path):
 
 
 def _basis_rows(spec: FieldSpec):
-    """One CSV row per amplitude; the computational basis, index d, is tagged -1."""
+    """One CSV row per amplitude; the computational basis, index d, is tagged -1.
+
+    Each basis is built once outside the basis_matrix cache, so only one
+    d x d matrix is alive at a time.
+    """
     d = spec.d
     for basis in range(d + 1):
         fam, b_idx = ("computational", -1) if basis == d else ("quadratic", basis)
-        mat = basis_matrix(spec, basis)
+        mat = basis_matrix.__wrapped__(spec, basis)
         for c_idx in range(d):
             for n_idx in range(d):
                 v = mat[c_idx, n_idx]
@@ -181,7 +185,7 @@ def cmd_wigner(args) -> int:
         _emit("q1,p1,q2,p2,value", (f"{q1},{p1},{q2},{p2},{v!r}"
                                     for (q1, p1, q2, p2), v in support.items()), args.out)
     else:
-        table = dwigner1(mub_state(spec, args.b, args.c)).table
+        table = dwigner1(mub_state(spec, args.b, args.c))
         _emit("q,p,value", (f"{q},{p},{float(table[q, p])!r}"
                             for q in range(d) for p in range(d)), args.out)
     return 0

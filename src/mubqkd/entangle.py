@@ -9,8 +9,6 @@ which is what the protocol exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .gf import FieldSpec, GfElem, index_add, index_arrays
@@ -18,34 +16,34 @@ from .hilbert import apply_diag_phase, sample_index
 from .mub import basis_matrix, mub_state
 
 
-@dataclass(frozen=True, eq=False)
-class EntangledPair:
-    spec: FieldSpec
-    state: np.ndarray   # dimension d^2, supported on the diagonal n1 == n2
+def _check_pair_basis(spec: FieldSpec, b: int):
+    """ValueError if b is the computational basis index d, which labels no pair."""
+    if b == spec.d:
+        raise ValueError(f"pair basis index {b} is the computational basis; pairs take [0, {spec.d})")
 
 
-def entangled_mub(spec: FieldSpec, b: int, c: int) -> EntangledPair:
-    """Diagonal two-particle state with amplitudes of the (b, c) MUB state."""
+def entangled_mub(spec: FieldSpec, b: int, c: int) -> np.ndarray:
+    """Two-particle state of C^d x C^d, supported on the diagonal n1 == n2,
+    with the amplitudes of the (b, c) MUB state."""
+    _check_pair_basis(spec, b)
     d = spec.d
-    if b == d:
-        raise ValueError(f"pair basis index {b} is the computational basis; pairs take [0, {d})")
     single = mub_state(spec, b, c)
     state = np.zeros(d * d, dtype=complex)
     state[np.arange(d) * (d + 1)] = single
-    return EntangledPair(spec, state)
+    return state
 
 
-def measure_first(pair: EntangledPair, b1: int, rng) -> tuple[int, np.ndarray]:
-    """Measure the first particle of an entangled pair in basis b1.
+def measure_first(spec: FieldSpec, state: np.ndarray, b1: int, rng) -> tuple[int, np.ndarray]:
+    """Measure the first particle of a d^2-dimensional state in basis b1.
 
     Samples the outcome c1 from the projection norms (uniform 1/d for the
-    quadratic bases) and returns (c1, normalized remote state).  For a
-    quadratic b1 the remote state is the MUB state labeled
-    (b - b1, c - c1).
+    quadratic bases on a pair) and returns (c1, normalized remote state).
+    For the pair (b, c) and a quadratic b1 the remote state is the MUB
+    state labeled (b - b1, c - c1).
     """
-    d = pair.spec.d
-    mat = basis_matrix(pair.spec, b1)
-    proj = mat.conj() @ pair.state.reshape(d, d)   # row k: remote branch for outcome k
+    d = spec.d
+    mat = basis_matrix(spec, b1)
+    proj = mat.conj() @ state.reshape(d, d)   # row k: remote branch for outcome k
     probs = np.einsum("ij,ij->i", proj, proj.conj()).real
     probs /= probs.sum()
     k = sample_index(probs, rng)
@@ -71,12 +69,12 @@ def joint_c_measure(spec: FieldSpec, state, b: int, rng) -> tuple[int | None, np
 
     Nondestructive on pair eigenstates: feeding the post-state back in
     reproduces the same outcome and post-state.  Returns (c, post_state);
-    c is None for the complement outcome.  Accepts an EntangledPair or a
-    raw d^2-dimensional vector (the complement outcome only occurs for
-    states with off-diagonal support).
+    c is None for the complement outcome, which only occurs for states
+    with off-diagonal support.  b must be a pair basis index in [0, d).
     """
+    _check_pair_basis(spec, b)
     d = spec.d
-    psi = np.asarray(getattr(state, "state", state), dtype=complex)
+    psi = np.asarray(state, dtype=complex)
     if psi.shape != (d * d,):
         raise ValueError(f"state has shape {psi.shape}, expected ({d * d},)")
     rows = basis_matrix(spec, b)

@@ -54,11 +54,6 @@ def mub_state(spec: FieldSpec, basis: int, c: int) -> np.ndarray:
     return basis_matrix(spec, basis)[c].copy()
 
 
-def mub_basis(spec: FieldSpec, basis: int) -> list[np.ndarray]:
-    """The d states of one basis in canonical element order."""
-    return [row.copy() for row in basis_matrix(spec, basis)]
-
-
 @dataclass(frozen=True)
 class UnbiasednessReport:
     d: int

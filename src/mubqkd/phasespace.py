@@ -39,26 +39,11 @@ SUPPORT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class CvLabel:
-    """Real basis/state coordinates; b = +inf marks the computational family."""
+    """Real basis/state coordinates, and the phase-space line p = b*q + c;
+    b = +inf marks the computational family, the vertical line q = c."""
 
     b: float
     c: float
-
-
-@dataclass(frozen=True)
-class CvLine:
-    """Line p = slope*q + intercept; slope = +inf is the vertical line q = intercept."""
-
-    slope: float
-    intercept: float
-
-
-def line_of_label(label: CvLabel) -> CvLine:
-    return CvLine(label.b, label.c)
-
-
-def label_of_line(line: CvLine) -> CvLabel:
-    return CvLabel(line.slope, line.intercept)
 
 
 def cv_split(label: CvLabel, b1: float, c1: float) -> CvLabel:
@@ -86,34 +71,29 @@ class LineIntersection:
     point: tuple[float, float] | None = None
 
 
-def cv_intersect(l1: CvLine, l2: CvLine) -> LineIntersection:
-    """Distinct slopes meet once; equal slopes never, unless the lines coincide."""
-    v1, v2 = not math.isfinite(l1.slope), not math.isfinite(l2.slope)
+def cv_intersect(l1: CvLabel, l2: CvLabel) -> LineIntersection:
+    """Lines of distinct slopes b meet once; equal slopes never, unless the
+    lines coincide."""
+    v1, v2 = not math.isfinite(l1.b), not math.isfinite(l2.b)
     if v1 and v2:
-        if abs(l1.intercept - l2.intercept) < EQ_TOL:
+        if abs(l1.c - l2.c) < EQ_TOL:
             return LineIntersection("degenerate")
         return LineIntersection("none")
     if v1 or v2:
         vert, line = (l1, l2) if v1 else (l2, l1)
-        q = vert.intercept
-        return LineIntersection("point", (q, line.slope * q + line.intercept))
-    if abs(l1.slope - l2.slope) < EQ_TOL:
-        if abs(l1.intercept - l2.intercept) < EQ_TOL:
+        q = vert.c
+        return LineIntersection("point", (q, line.b * q + line.c))
+    if abs(l1.b - l2.b) < EQ_TOL:
+        if abs(l1.c - l2.c) < EQ_TOL:
             return LineIntersection("degenerate")
         return LineIntersection("none")
-    q = (l2.intercept - l1.intercept) / (l1.slope - l2.slope)
-    return LineIntersection("point", (q, l1.slope * q + l1.intercept))
+    q = (l2.c - l1.c) / (l1.b - l2.b)
+    return LineIntersection("point", (q, l1.b * q + l1.c))
 
 
 # ---------------------------------------------------------------------------
 # Discrete Wigner tables
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DiscreteWigner:
-    d: int
-    table: np.ndarray   # (d, d) real, indexed [q, p]
-
 
 def _kernel(psi: np.ndarray, d: int):
     """(plus, minus) of the Wigner kernel at dimension d: plus[q, u] and
@@ -128,28 +108,27 @@ def _kernel(psi: np.ndarray, d: int):
     return (idx[:, None] + h * idx[None, :]) % d, (idx[:, None] - h * idx[None, :]) % d
 
 
-def dwigner1(state) -> DiscreteWigner:
-    """Discrete Wigner table of a normalized single-particle state; the sum
-    over u is numpy's FFT of each row q."""
+def dwigner1(state) -> np.ndarray:
+    """Read-only (d, d) real Wigner table, indexed [q, p], of a normalized
+    single-particle state; the sum over u is numpy's FFT of each row q."""
     psi = as_state(state)
     d = psi.shape[0]
     plus, minus = _kernel(psi, d)
     table = np.fft.fft(psi[plus] * psi[minus].conj()).real / d
     table.setflags(write=False)
-    return DiscreteWigner(d, table)
+    return table
 
 
-def dwigner2_support(pair) -> dict[tuple[int, int, int, int], float]:
-    """Points of the two-particle Wigner table above SUPPORT_TOL in absolute
-    value, keyed (q1, p1, q2, p2).
+def dwigner2_support(state) -> dict[tuple[int, int, int, int], float]:
+    """Points of the Wigner table of a normalized d^2-dimensional state above
+    SUPPORT_TOL in absolute value, keyed (q1, p1, q2, p2).
 
-    Accepts an EntangledPair or a raw d^2-dimensional vector; keys come
-    out in lexicographic order.  The table is built one q1 slice at a time:
-    a 2-d FFT over the shifts u and v of auto[u, q2, v] =
+    Keys come out in lexicographic order.  The table is built one q1 slice
+    at a time: a 2-d FFT over the shifts u and v of auto[u, q2, v] =
     psi(q1+hu, q2+hv) * conj(psi(q1-hu, q2-hv)), O(d^4 log d) time and
     O(d^3) memory in all.
     """
-    psi = np.asarray(getattr(pair, "state", pair), dtype=complex)
+    psi = as_state(state)
     d = math.isqrt(psi.shape[0])
     if d * d != psi.shape[0]:
         raise ValueError("two-particle state must have a square dimension")

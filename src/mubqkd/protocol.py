@@ -457,8 +457,8 @@ def run_round_dense(config: SessionConfig, round_index: int, rng) -> RoundRecord
 
     # one quadratic basis for both of Alice's measurements
     b1 = int(rng.integers(d))
-    c1, bob1 = measure_first(pair1, b1, rng)
-    c1p, bob2 = measure_first(pair2, b1, rng)
+    c1, bob1 = measure_first(spec, pair1, b1, rng)
+    c1p, bob2 = measure_first(spec, pair2, b1, rng)
 
     eve_basis = eve_outcome = None
     if config.eve.kind == "intercept_resend":

@@ -61,7 +61,7 @@ def test_criterion_2_projection_identity():
             for b, c, b1, c1 in tuples:
                 pair = entangled_mub(spec, b, c)
                 bra = mub_state(spec, b1, c1)
-                w = project_first(pair.state, bra)
+                w = project_first(pair, bra)
                 expect = mub_state(spec, index_sub(spec, b, b1), index_sub(spec, c, c1)) / root_d
                 assert float(np.max(np.abs(w - expect))) < 1e-12
                 assert abs(float(np.vdot(w, w).real) - 1.0 / d) < 1e-12
@@ -82,7 +82,7 @@ def test_criterion_4_single_particle_wigner_lines():
         for d in (3, 5, 7):
             spec = FieldSpec(d, 1)
             for ib, ic in itertools.product(range(d), repeat=2):
-                table = dwigner1(mub_state(spec, ib, ic)).table
+                table = dwigner1(mub_state(spec, ib, ic))
                 assert abs(float(table.sum()) - 1.0) < 1e-9
                 line = {(q, (2 * ib * q + ic) % d) for q in range(d)}
                 nonzero = 0
@@ -96,7 +96,7 @@ def test_criterion_4_single_particle_wigner_lines():
                 assert nonzero == d
             for k in range(d):
                 state = mub_state(spec, d, k)
-                table = dwigner1(state).table
+                table = dwigner1(state)
                 assert abs(float(table.sum()) - 1.0) < 1e-9
                 for q in range(d):
                     for p in range(d):

@@ -138,6 +138,14 @@ def test_bases_csv_rows_equal_basis_matrix(capsys):
         assert complex(float(re), float(im)) == basis_matrix(spec, basis)[int(c), int(n)]
 
 
+def test_bases_leaves_the_basis_cache_empty(capsys):
+    # the d+1 matrices would hold 16 * d^3 bytes in the cache; bases reads
+    # each one once
+    basis_matrix.cache_clear()
+    assert main(["bases", "--p", "5", "--n", "2"]) == 0
+    assert basis_matrix.cache_info().currsize == 0
+
+
 def test_wigner_single_csv(capsys):
     assert main(["wigner", "--p", "3", "--b", "1", "--c", "0"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

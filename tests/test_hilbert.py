@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mubqkd.gf import FieldSpec
 from mubqkd.hilbert import (apply_diag_phase, basis_state, born_sample, inner,
                             project_first, swap_test, tensor)
-from mubqkd.mub import mub_basis, mub_state
+from mubqkd.mub import basis_matrix, mub_state
 from mubqkd.entangle import entangled_mub
 
 GF3 = FieldSpec(3, 1)
@@ -80,7 +80,7 @@ def test_inner_conjugate_symmetry(seed):
 
 def test_born_sample_eigenstate():
     rng = np.random.default_rng(1)
-    basis = mub_basis(GF3, 2)
+    basis = basis_matrix(GF3, 2)
     for _ in range(50):
         k, collapsed = born_sample(basis[2], basis, rng)
         assert k == 2
@@ -103,7 +103,7 @@ def test_born_sample_uniform_over_computational():
 def test_born_probabilities_sum_to_one():
     rng = np.random.default_rng(3)
     for b in range(3):
-        basis = mub_basis(GF3, b)
+        basis = basis_matrix(GF3, b)
         state = _random_state(rng, 3)
         total = sum(abs(inner(v, state)) ** 2 for v in basis)
         assert total == pytest.approx(1.0, abs=1e-10)
@@ -126,7 +126,7 @@ def test_project_first_product_state():
 def test_project_first_entangled_example():
     pair = entangled_mub(GF3, 2, 1)
     bra = mub_state(GF3, 1, 2)
-    w = project_first(pair.state, bra)
+    w = project_first(pair, bra)
     # remote label: b2 = 2 - 1 = 1, c2 = 1 - 2 = 2 mod 3
     expect = mub_state(GF3, 1, (1 - 2) % 3) / np.sqrt(3)
     assert np.max(np.abs(w - expect)) < 1e-12

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mubqkd.gf import FieldSpec
-from mubqkd.mub import basis_matrix, mub_basis, mub_state, unbiasedness_report
+from mubqkd.mub import basis_matrix, mub_state, unbiasedness_report
 
 GF3 = FieldSpec(3, 1)
 GF5 = FieldSpec(5, 1)
@@ -72,8 +72,8 @@ def test_computational_versus_quadratic_overlap():
         assert np.max(np.abs(overlaps - target)) < 1e-12
 
 
-def test_mub_basis_order_matches_states():
-    states = mub_basis(GF5, 3)
+def test_basis_matrix_rows_match_states():
+    states = basis_matrix(GF5, 3)
     assert len(states) == 5
     for c, state in enumerate(states):
         assert np.allclose(state, mub_state(GF5, 3, c))

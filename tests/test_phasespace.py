@@ -11,9 +11,8 @@ from mubqkd.gf import FieldSpec
 from mubqkd.hilbert import basis_state
 from mubqkd.mub import mub_state
 from mubqkd.entangle import entangled_mub
-from mubqkd.phasespace import (SUPPORT_TOL, CvLabel, CvLine, cv_equal_delta, cv_intersect,
-                               cv_shift, cv_split, dwigner1, dwigner2_support,
-                               label_of_line, line_of_label)
+from mubqkd.phasespace import (SUPPORT_TOL, CvLabel, cv_equal_delta, cv_intersect, cv_shift,
+                               cv_split, dwigner1, dwigner2_support)
 
 
 def _q_state(d, b, c):
@@ -75,34 +74,29 @@ def test_cv_equal_delta_protocol_algebra():
     assert cv_equal_delta(first, cv_shift(second, c1p - c1))
 
 
-def test_label_line_bijection():
-    for label in (CvLabel(1.5, -2.0), CvLabel(math.inf, 3.0)):
-        assert label_of_line(line_of_label(label)) == label
-
-
 # ---------------------------------------------------------------------------
 # line intersections
 # ---------------------------------------------------------------------------
 
 def test_intersect_distinct_slopes():
-    res = cv_intersect(CvLine(1.0, 0.0), CvLine(2.0, 3.0))
+    res = cv_intersect(CvLabel(1.0, 0.0), CvLabel(2.0, 3.0))
     assert res.kind == "point"
     assert res.point == pytest.approx((-3.0, -3.0))
 
 
 def test_intersect_parallel():
-    assert cv_intersect(CvLine(1.0, 0.0), CvLine(1.0, 5.0)).kind == "none"
+    assert cv_intersect(CvLabel(1.0, 0.0), CvLabel(1.0, 5.0)).kind == "none"
 
 
 def test_intersect_identical():
-    assert cv_intersect(CvLine(1.0, 2.0), CvLine(1.0, 2.0)).kind == "degenerate"
+    assert cv_intersect(CvLabel(1.0, 2.0), CvLabel(1.0, 2.0)).kind == "degenerate"
 
 
 def test_intersect_vertical_cases():
-    res = cv_intersect(CvLine(math.inf, 2.0), CvLine(1.0, 0.0))
+    res = cv_intersect(CvLabel(math.inf, 2.0), CvLabel(1.0, 0.0))
     assert res.kind == "point" and res.point == pytest.approx((2.0, 2.0))
-    assert cv_intersect(CvLine(math.inf, 2.0), CvLine(math.inf, 3.0)).kind == "none"
-    assert cv_intersect(CvLine(math.inf, 2.0), CvLine(math.inf, 2.0)).kind == "degenerate"
+    assert cv_intersect(CvLabel(math.inf, 2.0), CvLabel(math.inf, 3.0)).kind == "none"
+    assert cv_intersect(CvLabel(math.inf, 2.0), CvLabel(math.inf, 2.0)).kind == "degenerate"
 
 
 def test_intersect_trichotomy_random():
@@ -111,7 +105,7 @@ def test_intersect_trichotomy_random():
     for _ in range(10_000):
         s1, s2 = grid[rng.integers(len(grid))], grid[rng.integers(len(grid))]
         c1, c2 = float(rng.integers(-3, 4)), float(rng.integers(-3, 4))
-        res = cv_intersect(CvLine(s1, c1), CvLine(s2, c2))
+        res = cv_intersect(CvLabel(s1, c1), CvLabel(s2, c2))
         if s1 == s2:
             assert res.kind == ("degenerate" if c1 == c2 else "none")
         else:
@@ -129,24 +123,24 @@ def test_intersect_trichotomy_random():
 # ---------------------------------------------------------------------------
 
 def test_dwigner1_computational_vertical_line():
-    w = dwigner1(basis_state(3, 1))
+    table = dwigner1(basis_state(3, 1))
     expect = np.zeros((3, 3))
     expect[1, :] = 1 / 3
-    assert np.max(np.abs(w.table - expect)) < 1e-12
+    assert np.max(np.abs(table - expect)) < 1e-12
 
 
 def test_dwigner1_frozen_d3_support():
-    w = dwigner1(_q_state(3, 1, 0))
-    support = {(q, p) for q in range(3) for p in range(3) if abs(w.table[q, p]) > 1e-10}
+    table = dwigner1(_q_state(3, 1, 0))
+    support = {(q, p) for q in range(3) for p in range(3) if abs(table[q, p]) > 1e-10}
     assert support == {(0, 0), (1, 2), (2, 1)}
     for q, p in support:
-        assert w.table[q, p] == pytest.approx(1 / 3, abs=1e-10)
+        assert table[q, p] == pytest.approx(1 / 3, abs=1e-10)
 
 
 def test_dwigner1_all_quadratic_states_are_lines():
     for d in (3, 5):
         for b, c in itertools.product(range(d), repeat=2):
-            table = dwigner1(_q_state(d, b, c)).table
+            table = dwigner1(_q_state(d, b, c))
             on_line = _line_points(d, b, c)
             for q in range(d):
                 for p in range(d):
@@ -162,7 +156,7 @@ def test_dwigner1_normalization_and_marginals():
         for _ in range(20):
             psi = rng.normal(size=d) + 1j * rng.normal(size=d)
             psi /= np.linalg.norm(psi)
-            table = dwigner1(psi).table
+            table = dwigner1(psi)
             assert table.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.max(np.abs(table.sum(axis=1) - np.abs(psi) ** 2)) < 1e-10
 
@@ -244,7 +238,7 @@ def test_dwigner1_matches_dft_matrix_reference(d):
     spec = FieldSpec(d, 1)
     for basis, c in itertools.product(range(d + 1), range(d)):
         psi = mub_state(spec, basis, c)
-        assert np.max(np.abs(dwigner1(psi).table - _reference_dwigner1(psi))) < 1e-12
+        assert np.max(np.abs(dwigner1(psi) - _reference_dwigner1(psi))) < 1e-12
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -252,7 +246,7 @@ def test_dwigner2_support_matches_einsum_reference_on_pairs(d):
     spec = FieldSpec(d, 1)
     for b, c in itertools.product(range(d), repeat=2):
         pair = entangled_mub(spec, b, c)
-        _assert_same_support(dwigner2_support(pair), _reference_dwigner2_support(pair.state))
+        _assert_same_support(dwigner2_support(pair), _reference_dwigner2_support(pair))
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])

@@ -95,7 +95,7 @@ def test_eve_in_correct_basis_leaves_no_trace():
     b, c = 2, 1
     b1 = 1
     pair = entangled_mub(spec, b, c)
-    c1, bob = measure_first(pair, b1, rng)
+    c1, bob = measure_first(spec, pair, b1, rng)
     b2 = (b - b1) % 3
     # Eve measures in exactly the basis the particle is in
     k, forwarded = born_sample(bob, basis_matrix(spec, b2), rng)
