@@ -30,14 +30,18 @@ physics reference that the label round is tested against.
 
 Either round takes any rng with random() and integers(high).  A session
 passes a Draws, which yields the variates of np.random.default_rng(seed)
-draw for draw from blocks of raw PCG64 words, at a fraction of numpy's cost
-per call; a uniform outcome is one random() and an O(1) lookup in a cached
-cdf of 8*d bytes.
+draw for draw, at a fraction of numpy's cost per call.  It computes the
+words of numpy's PCG64 stream itself, seeding as numpy's SeedSequence does
+and stepping the 128-bit state through a table of jumps, a block of words
+at a time in numpy arrays, so a session never imports numpy.random.  A
+uniform outcome is one random() and an O(1) lookup in a cached cdf of 8*d
+bytes.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, fields
@@ -249,33 +253,165 @@ class Transcript:
     summary: dict
 
 
-# Raw words per refill of Draws: a 64-word block costs about 3.5 us, small
-# enough that the round which pays for it is no outlier.
-_BLOCK_WORDS = 64
+# PCG64 (O'Neill, HMC-CS-2014-0905): a 128-bit LCG state s -> s*M + inc,
+# whose output is XSL-RR of the stepped state.  numpy seeds it from a
+# SeedSequence, whose pool mixing and state generation _seed_state repeats.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_SEED_INIT_A, _SEED_MULT_A = 0x43B0D7E5, 0x931E8875
+_SEED_INIT_B, _SEED_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SEED_MIX_L, _SEED_MIX_R = 0xCA01F9DD, 0x4973F715
+_SEED_POOL = 4
+
+# Raw words per refill of Draws, the square of _BLOCK_ROOT.  A refill is
+# some 25 array operations of this length and a tolist, about 0.25 ms.  A
+# round of either benchmark session takes about 8 words (7.6 in a d = 7
+# swap session, 7.9 in a d = 243 one with an eavesdropper), so a block
+# lasts some 500 rounds and under 1% of rounds pay for a refill.
+_BLOCK_ROOT = 64
+_BLOCK_WORDS = _BLOCK_ROOT ** 2
+
+
+def _seed_state(seed: int) -> tuple[int, int]:
+    """(state, inc) of np.random.PCG64(seed) after seeding, with Python ints.
+
+    numpy's SeedSequence hashes the seed's 32-bit words (least significant
+    first; seed 0 is one word) into a pool of four and draws four 64-bit
+    words w0..w3 from it; PCG64's srandom then takes initstate = w0:w1 and
+    initseq = w2:w3.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed: expected a non-negative integer, got {seed}")
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+
+    hash_const = _SEED_INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _SEED_MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (_SEED_MIX_L * x - _SEED_MIX_R * y) & _MASK32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_SEED_POOL)]
+    for src in range(_SEED_POOL):
+        for dst in range(_SEED_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_SEED_POOL:]:
+        for dst in range(_SEED_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _SEED_INIT_B
+    halves = []
+    for i in range(8):   # generate_state(4, uint64): 8 words, low half first
+        value = pool[i % _SEED_POOL] ^ hash_const
+        hash_const = hash_const * _SEED_MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        halves.append(value ^ value >> 16)
+    w = [halves[2 * i] | halves[2 * i + 1] << 32 for i in range(4)]
+    initstate, initseq = w[0] << 64 | w[1], w[2] << 64 | w[3]
+    inc = (initseq << 1 | 1) & _MASK128
+    return ((inc + initstate) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _affine(a_hi, a_lo, c_hi, c_lo, x_hi, x_lo):
+    """uint64 halves (hi, lo) of a*x + c mod 2**128, elementwise (broadcast)
+    over the uint64 halves of a, c and x; a half may be a Python int.  The
+    high half of the low 64x64 product comes from 32-bit partial products."""
+    x1, x0 = x_lo >> 32, x_lo & _MASK32
+    a1, a0 = a_lo >> 32, a_lo & _MASK32
+    p01, p10 = a0 * x1, a1 * x0
+    mid = (a0 * x0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    hi = a1 * x1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + a_hi * x_lo + a_lo * x_hi
+    lo = a_lo * x_lo + c_lo
+    return hi + c_hi + (lo < c_lo), lo
+
+
+def _steps(a: int, c: int, n: int) -> list[tuple[int, int]]:
+    """(A_j, C_j) for j = 0..n-1: the map s -> a*s + c mod 2**128 applied j
+    times is s -> A_j*s + C_j."""
+    out = [(1, 0)]
+    for _ in range(n - 1):
+        x, y = out[-1]
+        out.append((a * x & _MASK128, (a * y + c) & _MASK128))
+    return out
+
+
+def _halves(values: tuple[int, ...], shape: tuple[int, int]):
+    """The high and low uint64 halves of 128-bit ints, as arrays of shape."""
+    return (np.array([v >> 64 for v in values], np.uint64).reshape(shape),
+            np.array([v & _MASK64 for v in values], np.uint64).reshape(shape))
+
+
+def _jumps(inc: int):
+    """Halves (A_hi, A_lo, C_hi, C_lo) of the maps s -> A_j*s + C_j that step
+    the PCG64 state j = 1.._BLOCK_WORDS times, and (A, C) of _BLOCK_WORDS
+    steps as ints.
+
+    With R = _BLOCK_ROOT and j = R*q + r (q = 0..R-1, r = 1..R),
+    A_j = A_r*A_{Rq} and C_j = A_r*C_{Rq} + C_r: two tables of R maps, as
+    Python ints, combined in one broadcast product."""
+    row, col = (1, _BLOCK_ROOT), (_BLOCK_ROOT, 1)
+    fine_a, fine_c = zip(*_steps(_PCG_MULT, inc, _BLOCK_ROOT + 1)[1:])
+    coarse = _steps(fine_a[-1], fine_c[-1], _BLOCK_ROOT + 1)
+    coarse_a, coarse_c = zip(*coarse[:-1])
+    a = _halves(fine_a, row)
+    jump = (*_affine(*a, 0, 0, *_halves(coarse_a, col)),
+            *_affine(*a, *_halves(fine_c, row), *_halves(coarse_c, col)))
+    return tuple(h.ravel() for h in jump), coarse[-1]
 
 
 class Draws:
     """The variates of np.random.default_rng(seed), draw for draw, for the two
-    calls a round makes, without numpy's cost per call.
+    calls a round makes, without numpy's cost per call and without importing
+    numpy.random.
 
-    Raw 64-bit words of the generator's PCG64 stream are fetched in blocks.
+    The words are those of numpy's PCG64 stream, random_raw, computed here:
+    _seed_state seeds the state as numpy does, and each block of
+    _BLOCK_WORDS words steps it 1.._BLOCK_WORDS times at once through the
+    jump table of _jumps, applying PCG64's XSL-RR output, rotr64(hi ^ lo,
+    hi >> 58), to every stepped state.  The first block is built here.
     random() is numpy's next_double, (w >> 11) * 2**-53.  integers(high) is
     numpy's bounded 32-bit draw (Lemire, arXiv:1805.10941): x * high for a
     32-bit x, drawn again while the low 32 bits of the product fall below
     2**32 mod high, the high 32 bits being the result.  Like PCG64, a 32-bit
     draw takes the low half of a fresh word and keeps the high half for the
     next 32-bit draw; random() leaves that half alone.
+
+    seed is a non-negative int: ValueError for a negative one, as numpy's
+    SeedSequence raises, and TypeError for anything operator.index refuses.
     """
 
-    def __init__(self, seed):
-        self._bits = np.random.default_rng(seed).bit_generator
-        self._words: list[int] = []   # the block's unused words, next one last
+    def __init__(self, seed: int):
+        self._state, inc = _seed_state(seed)
+        self._jump, self._step = _jumps(inc)
+        self._words = self._block()   # the block's unused words, next one last
         self._half: int | None = None
+
+    def _block(self) -> list[int]:
+        """The next _BLOCK_WORDS words of the stream, next one last."""
+        s = self._state
+        hi, lo = _affine(*self._jump, s >> 64, s & _MASK64)
+        a, c = self._step
+        self._state = (a * s + c) & _MASK128
+        x = hi ^ lo
+        rot = hi >> 58
+        return ((x >> rot) | (x << ((64 - rot) & 63)))[::-1].tolist()
 
     def _refill(self) -> int:
         """The first word of a fresh block."""
-        self._words = self._bits.random_raw(_BLOCK_WORDS)[::-1].tolist()
+        self._words = self._block()
         return self._words.pop()
 
     def random(self) -> float:

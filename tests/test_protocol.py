@@ -3,16 +3,21 @@ transcripts."""
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mubqkd
 from mubqkd.gf import FieldSpec
 from mubqkd.hilbert import born_sample
 from mubqkd.mub import basis_matrix, mub_state
 from mubqkd.entangle import entangled_mub, measure_first
-from mubqkd.protocol import (Draws, EveStrategy, RoundRecord, SessionConfig,
-                             _alice_encode, _bob_decode, _uniform_outcome, eavesdropper_detected,
+from mubqkd.protocol import (_BLOCK_WORDS, Draws, EveStrategy, RoundRecord, SessionConfig,
+                             _alice_encode, _bob_decode, _seed_state, _uniform_outcome,
+                             eavesdropper_detected,
                              run_cv_round, run_round, run_session, session_records,
                              summarize)
 
@@ -311,6 +316,54 @@ def test_draws_match_generator():
                 assert draws.integers(high) == int(gen.integers(high)), (seed, high)
     with pytest.raises(ValueError):
         Draws(0).integers(2 ** 32 + 1)
+
+
+STREAM_SEEDS = [*range(100), 2 ** 32 - 1, 2 ** 32, 2 ** 64, 2 ** 128 + 1, 10 ** 40]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_draws_words_match_pcg64(seed):
+    bits = np.random.PCG64(seed)
+    assert _seed_state(seed) == (bits.state["state"]["state"], bits.state["state"]["inc"])
+    draws = Draws(seed)
+    words = draws._words[::-1]
+    for _ in range(3):
+        words += draws._block()[::-1]
+    assert words == bits.random_raw(4 * _BLOCK_WORDS).tolist()
+
+
+def test_draws_match_generator_across_blocks():
+    pending_refills = 0
+    for seed in (0, 5, 2 ** 64, 10 ** 40):
+        draws, gen = Draws(seed), np.random.default_rng(seed)
+        calls = np.random.default_rng(20_000 + seed).integers(len(DRAW_HIGHS) + 1, size=20_000)
+        for k in calls.tolist():
+            pending_refills += not draws._words and draws._half is not None
+            if k == len(DRAW_HIGHS):
+                assert draws.random() == gen.random()
+            else:
+                high = DRAW_HIGHS[k]
+                assert draws.integers(high) == int(gen.integers(high)), (seed, high)
+    assert pending_refills > 0
+
+
+def test_draws_refuse_bad_seeds():
+    with pytest.raises(ValueError, match="non-negative"):
+        Draws(-1)
+    for seed in (None, 1.0, np.zeros(2, dtype=np.uint32), np.random.SeedSequence(0)):
+        with pytest.raises(TypeError):
+            Draws(seed)
+
+
+def test_session_never_imports_numpy_random(tmp_path):
+    src = os.path.dirname(os.path.dirname(mubqkd.__file__))
+    code = ("import sys\n"
+            "from mubqkd.cli import main\n"
+            "main(['session', '--p', '7', '--mode', 'swap', '--rounds', '200',"
+            " '--no-transcript', '--stats', sys.argv[1]])\n"
+            "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n")
+    subprocess.run([sys.executable, "-W", "error", "-c", code, str(tmp_path / "stats.json")],
+                   check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
 
 
 class _FixedVariate:
