@@ -18,7 +18,7 @@ import numpy as np
 from .entangle import entangled_mub, exponent_additivity_check, joint_c_measure, shift_remote
 from .gf import FieldSpec, index_add, index_sub, refuse_oversize
 from .hilbert import project_first
-from .mub import basis_matrix, mub_state, unbiasedness_report
+from .mub import mub_state, unbiasedness_report
 from .phasespace import dwigner1, dwigner2_support
 from .protocol import SessionConfig, session_records, session_summary
 
@@ -155,16 +155,14 @@ def _emit(header: str, rows, path):
 def _basis_rows(spec: FieldSpec):
     """One CSV row per amplitude; the computational basis, index d, is tagged -1.
 
-    Each basis is built once outside the basis_matrix cache, so only one
-    d x d matrix is alive at a time.
+    Each state comes from mub_state, one d-vector at a time, so memory does
+    not grow with d and the basis_matrix cache stays empty.
     """
     d = spec.d
     for basis in range(d + 1):
         fam, b_idx = ("computational", -1) if basis == d else ("quadratic", basis)
-        mat = basis_matrix.__wrapped__(spec, basis)
         for c_idx in range(d):
-            for n_idx in range(d):
-                v = mat[c_idx, n_idx]
+            for n_idx, v in enumerate(mub_state(spec, basis, c_idx)):
                 yield f"{fam},{b_idx},{c_idx},{n_idx},{float(v.real)!r},{float(v.imag)!r}"
 
 
@@ -251,15 +249,13 @@ def _written(records, fh):
 
 def cmd_session(args) -> int:
     config = _session_config(args)
-    # Records are written and counted as they are made; none is kept.
+    # Both files are opened before the first round, so a bad path costs no
+    # rounds; records are written and counted as they are made, none kept.
     records = session_records(config)
-    if args.no_transcript:
-        s = session_summary(config, records)
-    else:
-        with open(args.out, "w") as fh:
-            s = session_summary(config, _written(records, fh))
-    with open(args.stats, "w") as fh:
-        fh.write(json.dumps(s, indent=2) + "\n")
+    with (contextlib.nullcontext() if args.no_transcript else open(args.out, "w")) as out, \
+            open(args.stats, "w") as stats:
+        s = session_summary(config, records if out is None else _written(records, out))
+        stats.write(json.dumps(s, indent=2) + "\n")
 
     def fmt(x):
         return "n/a" if x is None else f"{x:.6f}"

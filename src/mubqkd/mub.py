@@ -6,9 +6,10 @@ omega^tr(b*n^2 + c*n) / sqrt(d) at position n, with omega = exp(2*pi*i/p)
 and b, c, n element indices; the trace is additive, so the exponent is
 tr(b*n^2) + tr(c*n) mod p, both read off the field's trace form.  Index d
 is the computational basis, whose state c sits at position c; it completes
-the set to the maximal count of d+1.  Basis matrices are cached per
-(field, basis index) because the dense reference round and verify request
-them in hot loops.
+the set to the maximal count of d+1.  A state is built alone, in O(d * n).
+Basis matrices are cached per (field, basis index) for the callers that
+measure in whole bases again and again: measure_first, joint_c_measure, the
+dense reference round and the unbiasedness audit.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gf import FieldSpec, index_arrays
+from .hilbert import basis_state
 
 
 def _check_label(spec: FieldSpec, basis: int, c: int = 0):
@@ -31,27 +33,30 @@ def _check_label(spec: FieldSpec, basis: int, c: int = 0):
         raise ValueError(f"state index {c} outside [0, {d})")
 
 
+def _quadratic_rows(spec: FieldSpec, basis: int, c) -> np.ndarray:
+    """Row c of quadratic basis `basis`, or one row per entry of an index array c."""
+    digits, form, squares = index_arrays(spec)
+    tr_bn2 = (digits @ (form @ digits[basis]))[squares]  # tr(b * m) at m = n^2, for each n
+    tr_cn = digits[c] @ form @ digits.T     # row c, column n: tr(c * n)
+    # the p phases, each computed as the whole row would compute it
+    phases = np.exp(2j * np.pi * np.arange(spec.p) / spec.p) / np.sqrt(spec.d)
+    return phases[(tr_cn + tr_bn2) % spec.p]
+
+
 @lru_cache(maxsize=None)
 def basis_matrix(spec: FieldSpec, basis: int) -> np.ndarray:
     """Read-only (d, d) matrix whose row c is the state (basis, c)."""
     _check_label(spec, basis)
     d = spec.d
-    if basis == d:
-        mat = np.eye(d, dtype=complex)
-    else:
-        digits, form, squares = index_arrays(spec)
-        tr_bn2 = digits[basis] @ form @ digits[squares].T     # tr(b * n^2) for each n
-        tr_cn = digits @ form @ digits.T        # row c, column n: tr(c * n)
-        expo = (tr_cn + tr_bn2) % spec.p
-        mat = np.exp(2j * np.pi * expo / spec.p) / np.sqrt(d)
+    mat = np.eye(d, dtype=complex) if basis == d else _quadratic_rows(spec, basis, np.arange(d))
     mat.setflags(write=False)
     return mat
 
 
 def mub_state(spec: FieldSpec, basis: int, c: int) -> np.ndarray:
-    """Normalized amplitude vector of the state labeled (basis, c)."""
+    """Normalized amplitude vector of the state labeled (basis, c), built alone."""
     _check_label(spec, basis, c)
-    return basis_matrix(spec, basis)[c].copy()
+    return basis_state(spec.d, c) if basis == spec.d else _quadratic_rows(spec, basis, c)
 
 
 @dataclass(frozen=True)
@@ -77,8 +82,10 @@ def unbiasedness_report(spec: FieldSpec) -> UnbiasednessReport:
     ortho = max(float(np.max(np.abs(m.conj() @ m.T - eye))) for m in mats)
     compl = max(float(np.max(np.abs(m.T @ m.conj() - eye))) for m in mats)
     cross = 0.0
+    overlap = np.empty((d, d), dtype=complex)   # reused: a fresh d x d per pair costs page faults
     for i in range(len(mats)):
+        bra = mats[i].conj()
         for j in range(i + 1, len(mats)):
-            overlap = np.abs(mats[i].conj() @ mats[j].T)
-            cross = max(cross, float(np.max(np.abs(overlap - target))))
+            np.matmul(bra, mats[j].T, out=overlap)
+            cross = max(cross, float(np.max(np.abs(np.abs(overlap) - target))))
     return UnbiasednessReport(d, len(mats), cross, ortho, compl)

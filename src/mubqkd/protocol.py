@@ -43,9 +43,10 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field as dc_field, fields
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -71,13 +72,17 @@ _JSON_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
 
 
 def _json_check(value, kind: type, path: str):
-    """value if it has the JSON type that kind stands for (float: any number,
-    returned as a float), else ValueError naming path."""
-    ok = (isinstance(value, (int, float)) if kind is float else isinstance(value, kind))
-    if not ok or isinstance(value, bool):
-        got = _JSON_TYPE_NAMES.get(type(value), "null" if value is None else type(value).__name__)
-        raise ValueError(f"{path}: expected {_JSON_TYPE_NAMES[kind]}, got {got}")
-    return float(value) if kind is float else value
+    """value if it has the JSON type that kind stands for, else ValueError
+    naming path.  int takes whatever operator.index takes and float any real
+    number, neither a bool, and returns a plain int or float."""
+    if not isinstance(value, bool):
+        if kind is int:
+            with suppress(TypeError):
+                return operator.index(value)
+        elif isinstance(value, Real if kind is float else kind):
+            return float(value) if kind is float else value
+    got = _JSON_TYPE_NAMES.get(type(value), "null" if value is None else type(value).__name__)
+    raise ValueError(f"{path}: expected {_JSON_TYPE_NAMES[kind]}, got {got}")
 
 
 def _json_fields(doc: dict, kinds: dict, parent: str) -> dict:
@@ -115,6 +120,8 @@ class EveStrategy:
     fixed_basis: int | None = None
 
     def __post_init__(self):
+        if self.fixed_basis is not None:
+            object.__setattr__(self, "fixed_basis", _json_check(self.fixed_basis, int, "fixed_basis"))
         if self.kind not in _EVE_KINDS:
             raise ValueError(f"unknown eavesdropper kind {self.kind!r}")
         if self.picker not in _EVE_PICKERS:
@@ -148,6 +155,9 @@ class SessionConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # a library caller meets the document's type rules; values become plain
+        for name in ("rounds", "check_fraction", "swap_repetitions", "seed"):
+            object.__setattr__(self, name, _json_check(getattr(self, name), _CONFIG_KINDS[name], name))
         # labels are canonical element indices, checked as GfElem checks them
         with _at("delta_offset"):
             object.__setattr__(self, "delta_offset", self.field.from_index(self.delta_offset).index)

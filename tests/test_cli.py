@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mubqkd import cli, gf
+from mubqkd import cli, gf, protocol
 from mubqkd.cli import main
 from mubqkd.mub import basis_matrix
 from mubqkd.protocol import SessionConfig, _uniform_cdf, run_session
@@ -146,6 +146,19 @@ def test_bases_leaves_the_basis_cache_empty(capsys):
     assert basis_matrix.cache_info().currsize == 0
 
 
+def test_bases_rows_hold_one_state_at_a_time():
+    # a d x d basis at d = 2187 would be 73 MiB of amplitudes
+    rows = cli._basis_rows(gf.FieldSpec(3, 7))
+    tracemalloc.start()
+    try:
+        head = [next(rows) for _ in range(10)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert head[0].startswith("quadratic,0,0,0,") and head[9].startswith("quadratic,0,0,9,")
+    assert peak < 2 ** 20
+
+
 def test_wigner_single_csv(capsys):
     assert main(["wigner", "--p", "3", "--b", "1", "--c", "0"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -190,6 +203,16 @@ def test_wigner_deterministic_output(capsys):
     first = capsys.readouterr().out
     assert main(["wigner", "--p", "5", "--b", "2", "--c", "3"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_session_opens_stats_before_the_first_round(tmp_path, capsys, monkeypatch):
+    def no_round(*args):
+        raise AssertionError("a round ran before the stats file was opened")
+
+    monkeypatch.setattr(protocol, "run_round", no_round)
+    assert main(["session", "--p", "7", "--rounds", "50000", "--out", str(tmp_path / "t.jsonl"),
+                 "--stats", str(tmp_path / "missing" / "s.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_session_clean_run(tmp_path, capsys):

@@ -79,6 +79,21 @@ def test_basis_matrix_rows_match_states():
         assert np.allclose(state, mub_state(GF5, 3, c))
 
 
+@pytest.mark.parametrize("spec", [GF3, GF5, GF9, FieldSpec(5, 2), FieldSpec(3, 3)])
+def test_mub_state_is_exactly_the_basis_matrix_row(spec):
+    for basis in range(spec.d + 1):
+        mat = basis_matrix(spec, basis)
+        for c in range(spec.d):
+            assert np.array_equal(mub_state(spec, basis, c), mat[c])
+
+
+def test_mub_state_leaves_the_basis_cache_alone():
+    before = basis_matrix.cache_info()
+    for basis in range(GF9.d + 1):
+        mub_state(GF9, basis, 4)
+    assert basis_matrix.cache_info() == before
+
+
 @pytest.mark.parametrize("basis, c", [(4, 0), (-1, 0), (0, 3), (3, 3), (0, -1)])
 def test_out_of_range_labels_rejected(basis, c):
     with pytest.raises(ValueError):

@@ -275,6 +275,30 @@ def test_config_validation():
         EveStrategy("someone")
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: SessionConfig(field=GF3, rounds=True), "rounds"),
+    (lambda: SessionConfig(field=GF3, rounds=5, check_fraction=True), "check_fraction"),
+    (lambda: SessionConfig(field=GF3, rounds=5, check_fraction="0.5"), "check_fraction"),
+    (lambda: EveStrategy("intercept_resend", "fixed", 1.5), "fixed_basis"),
+    (lambda: SessionConfig(field=GF3, rounds=5, swap_repetitions=2.5), "swap_repetitions"),
+    (lambda: SessionConfig(field=GF3, rounds=5, seed=False), "seed"),
+], ids=["rounds-bool", "check_fraction-bool", "check_fraction-str", "fixed_basis-float",
+        "swap_repetitions-float", "seed-bool"])
+def test_config_refuses_what_the_document_refuses(build, field):
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        build()
+
+
+def test_config_stores_plain_numbers():
+    cfg = SessionConfig(field=GF3, rounds=np.int64(5), check_fraction=np.float32(0.5),
+                        swap_repetitions=np.uint8(2), seed=np.int32(7),
+                        eve=EveStrategy("intercept_resend", "fixed", np.int64(3)))
+    assert [type(v) for v in (cfg.rounds, cfg.swap_repetitions, cfg.seed, cfg.eve.fixed_basis,
+                              cfg.check_fraction)] == [int] * 4 + [float]
+    summary = run_session(cfg).summary
+    assert json.loads(json.dumps(summary))["config"] == cfg.to_json()
+
+
 def test_config_json_roundtrip():
     cfg = SessionConfig(field=FieldSpec(3, 2), rounds=50, check_fraction=0.4,
                         mode="swap", swap_repetitions=3,
