@@ -270,45 +270,44 @@ def cmd_session(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mubqkd",
-                                     description="MUB entanglement simulator and protocol auditor")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_field_args(sp, max_d=None, p_required=True):
+    sp.add_argument("--p", type=int, required=p_required, default=None,
+                    help="odd prime characteristic")
+    sp.add_argument("--n", type=int, help="extension degree, d = p^n (default 1)")
+    sp.add_argument("--modulus", help="comma-separated modulus coefficients c0,c1,... "
+                    "(low-order first; default: the first irreducible one)")
+    if max_d is not None:
+        sp.add_argument("--max-d", type=int, default=max_d,
+                        help="refuse dimensions d above this (default %(default)s; "
+                        "d above the field limit 2^20 is refused whatever this is)")
 
-    def add_field_args(sp, max_d=None, p_required=True):
-        sp.add_argument("--p", type=int, required=p_required, default=None,
-                        help="odd prime characteristic")
-        sp.add_argument("--n", type=int, help="extension degree, d = p^n (default 1)")
-        sp.add_argument("--modulus", help="comma-separated modulus coefficients c0,c1,... "
-                        "(low-order first; default: the first irreducible one)")
-        if max_d is not None:
-            sp.add_argument("--max-d", type=int, default=max_d,
-                            help="refuse dimensions d above this (default %(default)s; "
-                            "d above the field limit 2^20 is refused whatever this is)")
 
-    sp = sub.add_parser("verify", help="run the invariant suite and report max deviations")
-    add_field_args(sp, 81)
+def _verify_args(sp):
+    _add_field_args(sp, 81)
     sp.add_argument("--samples", type=int, default=200,
                     help="sample count per check when exhaustive scans are too large "
                     f"(at most {VERIFY_MAX_SAMPLES})")
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("bases", help="dump all d+1 basis amplitudes as CSV")
-    add_field_args(sp, 81)
+
+def _bases_args(sp):
+    _add_field_args(sp, 81)
     sp.add_argument("--out", type=str, default=None, help="output path (default stdout)")
     sp.set_defaults(func=cmd_bases)
 
-    sp = sub.add_parser("wigner", help="dump a discrete Wigner table or pair support as CSV")
-    add_field_args(sp, 81)
+
+def _wigner_args(sp):
+    _add_field_args(sp, 81)
     sp.add_argument("--b", type=int, required=True, help="quadratic basis index")
     sp.add_argument("--c", type=int, required=True, help="state index")
     sp.add_argument("--pair", action="store_true", help="two-particle support instead of a single state")
     sp.add_argument("--out", type=str, default=None)
     sp.set_defaults(func=cmd_wigner)
 
-    sp = sub.add_parser("session", help="run a protocol session and persist the transcript")
-    add_field_args(sp, p_required=False)
+
+def _session_args(sp):
+    _add_field_args(sp, p_required=False)
     sp.add_argument("--rounds", type=int, help="number of rounds (required without --config)")
     sp.add_argument("--check-frac", type=float,
                     help=f"share of check rounds (default {SessionConfig.check_fraction})")
@@ -328,11 +327,35 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", type=str, default=None,
                     help="JSON session config instead of the session flags above")
     sp.set_defaults(func=cmd_session)
+
+
+# subcommand: (help line, the function that adds its arguments)
+_COMMANDS = {
+    "verify": ("run the invariant suite and report max deviations", _verify_args),
+    "bases": ("dump all d+1 basis amplitudes as CSV", _bases_args),
+    "wigner": ("dump a discrete Wigner table or pair support as CSV", _wigner_args),
+    "session": ("run a protocol session and persist the transcript", _session_args),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The mubqkd parser.  Every subcommand is registered, so the top-level
+    help and the invalid-choice error list them all; only the given command
+    gets its arguments, or every command when command is None."""
+    parser = argparse.ArgumentParser(prog="mubqkd",
+                                     description="MUB entanglement simulator and protocol auditor")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_args) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
+        if command in (None, name):
+            add_args(sp)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

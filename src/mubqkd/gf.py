@@ -183,6 +183,11 @@ class FieldSpec:
             sub += (x[:, None] - x) % p * p ** i
         return q, memoryview(add.ravel()).toreadonly(), memoryview(sub.ravel()).toreadonly()
 
+    def __getstate__(self) -> dict:
+        """The fields alone: a pickle or copy leaves digit_tables out, to be
+        built again on use (a memoryview cannot be pickled)."""
+        return {k: v for k, v in self.__dict__.items() if k != "digit_tables"}
+
     def element(self, coeffs) -> GfElem:
         """Element from coefficients (low-order first), reduced mod p and zero-padded."""
         coeffs = [int(c) % self.p for c in coeffs]
@@ -319,8 +324,12 @@ def index_arrays(spec: FieldSpec):
     return digits, form, squares
 
 
-def _chunkwise(q: int, table, a: int, b: int) -> int:
-    """Index whose base-q chunks are table[x * q + y], for x and y the chunks of a and b."""
+def chunkwise(q: int, table, a: int, b: int) -> int:
+    """Index whose base-q chunks are table[x * q + y], for x and y the chunks of a and b.
+
+    With (q, add, sub) = spec.digit_tables (n >= 2), chunkwise(q, add, a, b)
+    is index_add(spec, a, b) and chunkwise(q, sub, a, b) is index_sub(spec,
+    a, b), without reading spec on each call."""
     if b == 0:                          # a + 0 = a - 0 = a
         return a
     out, scale = 0, 1
@@ -337,7 +346,7 @@ def index_add(spec: FieldSpec, a: int, b: int) -> int:
     if spec.n == 1:
         return (a + b) % spec.p
     q, add, _ = spec.digit_tables
-    return _chunkwise(q, add, a, b)
+    return chunkwise(q, add, a, b)
 
 
 def index_sub(spec: FieldSpec, a: int, b: int) -> int:
@@ -345,7 +354,7 @@ def index_sub(spec: FieldSpec, a: int, b: int) -> int:
     if spec.n == 1:
         return (a - b) % spec.p
     q, _, sub = spec.digit_tables
-    return _chunkwise(q, sub, a, b)
+    return chunkwise(q, sub, a, b)
 
 
 def index_neg(spec: FieldSpec, a: int) -> int:

@@ -28,14 +28,21 @@ plays the same round on dense state vectors.  Both draw the same variates
 in the same order, so they write the same records; the dense round is the
 physics reference that the label round is tested against.
 
+run_round reads a round plan that its config builds once, on first use
+(SessionConfig._plan): d, p, the digit tables of the field (or mod p at
+n = 1), a read-only uniform cdf of 8*d bytes and the config's values as a
+round uses them.  So a round costs its draws, each one call of the rng's
+bound random() or integers(); a few integer operations on canonical
+indices, a table lookup per chunk of digits at n >= 2; an O(1) check
+against the cdf for each uniform outcome; and one positional RoundRecord.
+The draws are the largest share.
+
 Either round takes any rng with random() and integers(high).  A session
 passes a Draws, which yields the variates of np.random.default_rng(seed)
 draw for draw, at a fraction of numpy's cost per call.  It computes the
 words of numpy's PCG64 stream itself, seeding as numpy's SeedSequence does
 and stepping the 128-bit state through a table of jumps, a block of words
-at a time in numpy arrays, so a session never imports numpy.random.  A
-uniform outcome is one random() and an O(1) lookup in a cached cdf of 8*d
-bytes.
+at a time in numpy arrays, so a session never imports numpy.random.
 """
 
 from __future__ import annotations
@@ -45,13 +52,13 @@ import operator
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field as dc_field, fields
-from functools import lru_cache
+from functools import cached_property
 from numbers import Real
 
 import numpy as np
 
 from .entangle import entangled_mub, measure_first, shift_remote
-from .gf import FieldSpec, index_add, index_sub
+from .gf import FieldSpec, chunkwise, index_add, index_sub
 from .hilbert import born_sample, inner, swap_test
 from .mub import basis_matrix
 from .phasespace import CvLabel, cv_equal_delta, cv_shift, cv_split
@@ -140,6 +147,28 @@ class EveStrategy:
             return cls(**values)
 
 
+@dataclass(frozen=True, slots=True)
+class _RoundPlan:
+    """What every round of a session reads, worked out once from its config
+    (SessionConfig._plan): the field's size and tables, the uniform cdf, and
+    the config's values in the form a round uses them."""
+
+    d: int
+    p: int
+    q: int                      # chunk size of the digit tables; 0 at n = 1, where sums are mod p
+    add: memoryview | None
+    sub: memoryview | None
+    cdf: memoryview             # the cdf sample_index builds for d equal probabilities, read-only
+    pair: tuple[int, int] | None
+    delta: int
+    check_fraction: float
+    eve: bool                   # an intercept-resend eavesdropper
+    eve_basis: int | None       # her fixed basis; None: drawn each round
+    eve_high: int               # her drawn basis is integers(eve_high): d quadratic, d + 1 all
+    swap: bool
+    reps: int
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     """Parameters of one protocol session; validated on construction."""
@@ -181,6 +210,27 @@ class SessionConfig:
             if not 0 <= self.eve.fixed_basis <= self.field.d:
                 raise ValueError(f"fixed eavesdropper basis index outside [0, {self.field.d}]")
 
+    @cached_property
+    def _plan(self) -> _RoundPlan:
+        """The round plan, built on first use and kept on the instance.  Not
+        part of equality, hashing, repr or to_json."""
+        spec, eve = self.field, self.eve
+        d = spec.d
+        q, add, sub = spec.digit_tables if spec.n > 1 else (0, None, None)
+        return _RoundPlan(
+            d=d, p=spec.p, q=q, add=add, sub=sub,
+            cdf=memoryview(np.cumsum(np.full(d, 1.0 / d))).toreadonly(),
+            pair=self.pair_label, delta=self.delta_offset, check_fraction=self.check_fraction,
+            eve=eve.kind == "intercept_resend",
+            eve_basis=eve.fixed_basis if eve.picker == "fixed" else None,
+            eve_high=d if eve.picker == "uniform_quadratic" else d + 1,
+            swap=self.mode == "swap", reps=self.swap_repetitions)
+
+    def __getstate__(self) -> dict:
+        """The fields alone: a pickle or copy leaves the plan out, to be built
+        again on use (a memoryview cannot be pickled)."""
+        return {k: v for k, v in self.__dict__.items() if k != "_plan"}
+
     def to_json(self) -> dict:
         return {
             "field": self.field.to_config(),
@@ -212,26 +262,28 @@ class SessionConfig:
         return cls(**values)
 
 
-@dataclass(kw_only=True)
+@dataclass
 class RoundRecord:
     """One protocol round; field values are canonical integer indices.  A
     field that only message or only check rounds fill, or only rounds with
-    an eavesdropper, is None in the others."""
+    an eavesdropper, is None in the others.  The fields are in transcript
+    order and all required, so a round builds its record in one positional
+    call."""
 
     round: int
     kind: str
-    bit_sent: int | None = None
-    lam: int | None = None
+    bit_sent: int | None
+    lam: int | None
     b1: int
     c1: int
     c1p: int
-    eve_basis: int | None = None
-    eve_outcome: list[int] | None = None
-    decoded: int | None = None
-    check_b2: int | None = None
-    check_expected: int | None = None
-    check_measured: int | None = None
-    check_passed: bool | None = None
+    eve_basis: int | None
+    eve_outcome: list[int] | None
+    decoded: int | None
+    check_b2: int | None
+    check_expected: int | None
+    check_measured: int | None
+    check_passed: bool | None
 
     def to_json(self) -> dict:
         return {"lambda" if f.name == "lam" else f.name: getattr(self, f.name)
@@ -279,7 +331,9 @@ _SEED_POOL = 4
 # some 25 array operations of this length and a tolist, about 0.25 ms.  A
 # round of either benchmark session takes about 8 words (7.6 in a d = 7
 # swap session, 7.9 in a d = 243 one with an eavesdropper), so a block
-# lasts some 500 rounds and under 1% of rounds pay for a refill.
+# lasts some 500 rounds and under 1% of rounds pay for a refill.  Spread
+# over those rounds a refill costs about 0.5 us a round, a tenth of a d = 7
+# round, whose other draws are a few tenths of a us each.
 _BLOCK_ROOT = 64
 _BLOCK_WORDS = _BLOCK_ROOT ** 2
 
@@ -397,7 +451,9 @@ class Draws:
     32-bit x, drawn again while the low 32 bits of the product fall below
     2**32 mod high, the high 32 bits being the result.  Like PCG64, a 32-bit
     draw takes the low half of a fresh word and keeps the high half for the
-    next 32-bit draw; random() leaves that half alone.
+    next 32-bit draw; random() leaves that half alone.  integers() takes its
+    32-bit halves in its own body, with no helper call, since draws are the
+    largest share of a round's cost.
 
     seed is a non-negative int: ValueError for a negative one, as numpy's
     SeedSequence raises, and TypeError for anything operator.index refuses.
@@ -430,28 +486,26 @@ class Draws:
         w = words.pop() if words else self._refill()
         return (w >> 11) * (1.0 / (1 << 53))
 
-    def _uint32(self) -> int:
-        half = self._half
-        if half is not None:
-            self._half = None
-            return half
-        words = self._words
-        w = words.pop() if words else self._refill()
-        self._half = w >> 32
-        return w & _MASK32
-
     def integers(self, high: int) -> int:
         """Generator.integers(high) for 1 <= high <= 2**32; high 1 draws nothing."""
-        if high == 1:
-            return 0
         if not 1 < high <= 1 << 32:
+            if high == 1:
+                return 0
             raise ValueError(f"high must lie in [1, 2**32], got {high}")
-        m = self._uint32() * high
-        if m & _MASK32 < high:
-            threshold = (1 << 32) % high
-            while m & _MASK32 < threshold:
-                m = self._uint32() * high
-        return m >> 32
+        while True:
+            half = self._half
+            if half is None:
+                words = self._words
+                w = words.pop() if words else self._refill()
+                self._half = w >> 32
+                m = (w & _MASK32) * high
+            else:
+                self._half = None
+                m = half * high
+            # Lemire's threshold 2**32 % high is below high, so a low half at
+            # or above high is accepted without computing it
+            if m & _MASK32 >= high or m & _MASK32 >= (1 << 32) % high:
+                return m >> 32
 
 
 def _alice_encode(spec: FieldSpec, bit: int, c1: int, c1p: int, delta: int, rng) -> int:
@@ -490,19 +544,12 @@ def _pick_eve_basis(eve: EveStrategy, d: int, rng) -> int:
     return int(rng.integers(d + 1))
 
 
-@lru_cache(maxsize=None)
-def _uniform_cdf(d: int) -> memoryview:
-    """The cdf sample_index builds for d equal probabilities, read-only."""
-    return memoryview(np.cumsum(np.full(d, 1.0 / d))).toreadonly()
-
-
-def _uniform_outcome(d: int, rng) -> int:
-    """An outcome of d equally likely ones, drawn as sample_index draws it:
-    min(searchsorted(cdf, u, "right"), d - 1), guessed as int(u*d) and
-    corrected, since cdf[k] differs from (k+1)/d by rounding only."""
-    cdf = _uniform_cdf(d)
-    u = rng.random()
-    k = min(int(u * d), d - 1)
+def _uniform_outcome(u: float, d: int, cdf) -> int:
+    """The outcome of d equally likely ones that sample_index draws for the
+    variate u in [0, 1): min(searchsorted(cdf, u, "right"), d - 1), guessed
+    as int(u*d) and corrected, since cdf[k] differs from (k+1)/d by rounding
+    only.  The guess needs no cap: u*d rounds to below d for every u < 1."""
+    k = int(u * d)
     while k and cdf[k - 1] > u:
         k -= 1
     while k < d - 1 and cdf[k] <= u:
@@ -510,82 +557,84 @@ def _uniform_outcome(d: int, rng) -> int:
     return k
 
 
-def _measure(state: tuple[int, int], basis: int, d: int, rng) -> int:
-    """Outcome of measuring the state labeled (basis index, c) in a basis.
-
-    Certain in the state's own basis, uniform in every other; one variate
-    either way, as born_sample draws.
-    """
-    if state[0] == basis:
-        rng.random()
-        return state[1]
-    return _uniform_outcome(d, rng)
-
-
-def _compare(spec: FieldSpec, state2: tuple[int, int], state2p: tuple[int, int], lam: int,
-             mode: str, reps: int, rng) -> int:
-    """_bob_decode on labels: shift the second state by lam, compare with the first.
-
-    The squared overlap of two MUB states is 1 for equal labels, 0 for
-    other states of one basis and 1/d across bases.  A shift changes no
-    computational-basis state.
-    """
-    d = spec.d
-    if state2p[0] != d:
-        state2p = (state2p[0], index_add(spec, state2p[1], lam))
-    overlap = 1.0 if state2 == state2p else 0.0 if state2[0] == state2p[0] else 1.0 / d
-    if mode == "oracle":
-        return 1 if overlap == 1.0 else 0
-    p_anti = (1.0 - overlap) / 2.0
-    for _ in range(reps):
-        if rng.random() < p_anti:
-            return 0
-    return 1
-
-
 def run_round(config: SessionConfig, round_index: int, rng) -> RoundRecord:
-    """One round on MUB labels; the same draws and record as run_round_dense."""
-    spec = config.field
-    d = spec.d
-    if config.pair_label is None:
-        b = int(rng.integers(d))
-        c = int(rng.integers(d))
+    """One round on MUB labels; the same draws and record as run_round_dense.
+
+    A measurement of the state labeled (basis, c) is certain in its own
+    basis and uniform in every other, one variate either way, as born_sample
+    draws.  Bob's two particles always share a basis, so comparing them is
+    comparing their c labels: equal states have overlap 1, others 0.
+    """
+    plan = config._plan
+    d, q = plan.d, plan.q
+    integers, random = rng.integers, rng.random
+    if plan.pair is None:
+        b = int(integers(d))
+        c = int(integers(d))
     else:
-        b, c = config.pair_label
-    delta = config.delta_offset
+        b, c = plan.pair
+    delta = plan.delta
 
     # Alice's outcomes are uniform in every basis; Bob's particles collapse
-    # to (b - b1, c - c1) and (b - b1, c - delta - c1p).
-    b1 = int(rng.integers(d))
-    c1 = _uniform_outcome(d, rng)
-    c1p = _uniform_outcome(d, rng)
-    b2 = index_sub(spec, b, b1)
-    expected = index_sub(spec, c, c1)
-    bob1 = (b2, expected)
-    bob2 = (b2, index_sub(spec, index_sub(spec, c, delta), c1p))
+    # to (b2, expected) = (b - b1, c - c1) and (b2, c2p) = (b - b1, c - delta - c1p).
+    b1 = int(integers(d))
+    cdf = plan.cdf
+    c1 = _uniform_outcome(random(), d, cdf)
+    c1p = _uniform_outcome(random(), d, cdf)
+    if q:
+        sub = plan.sub
+        b2 = chunkwise(q, sub, b, b1)
+        expected = chunkwise(q, sub, c, c1)
+        c2p = chunkwise(q, sub, chunkwise(q, sub, c, delta), c1p)
+    else:
+        p = plan.p
+        b2, expected, c2p = (b - b1) % p, (c - c1) % p, (c - delta - c1p) % p
+    bob_basis, c2 = b2, expected
 
     eve_basis = eve_outcome = None
-    if config.eve.kind == "intercept_resend":
-        eve_basis = _pick_eve_basis(config.eve, d, rng)
-        eve_outcome = [_measure(bob1, eve_basis, d, rng), _measure(bob2, eve_basis, d, rng)]
-        bob1, bob2 = (eve_basis, eve_outcome[0]), (eve_basis, eve_outcome[1])
+    if plan.eve:
+        eve_basis = plan.eve_basis
+        if eve_basis is None:
+            eve_basis = int(integers(plan.eve_high))
+        u1, u2 = random(), random()
+        if eve_basis != b2:
+            c2, c2p = _uniform_outcome(u1, d, cdf), _uniform_outcome(u2, d, cdf)
+        bob_basis, eve_outcome = eve_basis, [c2, c2p]
 
     # duty assigned only after transit
-    kind = "check" if rng.random() < config.check_fraction else "message"
-    rec = RoundRecord(round=round_index, kind=kind, b1=b1, c1=c1, c1p=c1p,
-                      eve_basis=eve_basis, eve_outcome=eve_outcome)
-    if kind == "message":
-        bit = int(rng.integers(2))
-        rec.bit_sent = bit
-        rec.lam = _alice_encode(spec, bit, c1, c1p, delta, rng)
-        rec.decoded = _compare(spec, bob1, bob2, rec.lam, config.mode,
-                               config.swap_repetitions, rng)
+    if random() < plan.check_fraction:
+        u = random()
+        measured = c2 if bob_basis == b2 else _uniform_outcome(u, d, cdf)
+        return RoundRecord(round_index, "check", None, None, b1, c1, c1p, eve_basis,
+                           eve_outcome, None, b2, expected, measured, measured == expected)
+
+    # Alice announces the matching shift c1p - c1 + delta for bit 1, any
+    # other of the d values for bit 0; Bob shifts his second state by it (a
+    # shift moves no computational-basis state).
+    bit = int(integers(2))
+    if q:
+        add = plan.add
+        match = chunkwise(q, add, chunkwise(q, plan.sub, c1p, c1), delta)
     else:
-        rec.check_b2 = b2
-        rec.check_expected = expected
-        rec.check_measured = _measure(bob1, b2, d, rng)
-        rec.check_passed = rec.check_measured == rec.check_expected
-    return rec
+        match = (c1p - c1 + delta) % plan.p
+    lam = match
+    if not bit:
+        k = int(integers(d - 1))
+        lam = k + 1 if k >= match else k
+    if bob_basis != d:
+        c2p = chunkwise(q, add, c2p, lam) if q else (c2p + lam) % plan.p
+    if plan.swap:
+        # a swap test is antisymmetric with probability (1 - overlap) / 2
+        p_anti = 0.0 if c2p == c2 else 0.5
+        decoded = 1
+        for _ in range(plan.reps):
+            if random() < p_anti:
+                decoded = 0
+                break
+    else:
+        decoded = 1 if c2p == c2 else 0
+    return RoundRecord(round_index, "message", bit, lam, b1, c1, c1p, eve_basis, eve_outcome,
+                       decoded, None, None, None, None)
 
 
 def run_round_dense(config: SessionConfig, round_index: int, rng) -> RoundRecord:
@@ -615,21 +664,17 @@ def run_round_dense(config: SessionConfig, round_index: int, rng) -> RoundRecord
         eve_outcome = [k1, k2]
 
     # duty assigned only after transit
-    kind = "check" if rng.random() < config.check_fraction else "message"
-    rec = RoundRecord(round=round_index, kind=kind, b1=b1, c1=c1, c1p=c1p,
-                      eve_basis=eve_basis, eve_outcome=eve_outcome)
-    if kind == "message":
-        bit = int(rng.integers(2))
-        rec.bit_sent = bit
-        rec.lam = _alice_encode(spec, bit, c1, c1p, delta, rng)
-        rec.decoded = _bob_decode(spec, bob1, bob2, rec.lam, config.mode,
-                                  config.swap_repetitions, rng)
-    else:
-        rec.check_b2 = index_sub(spec, b, b1)
-        rec.check_expected = index_sub(spec, c, c1)
-        rec.check_measured, _ = born_sample(bob1, basis_matrix(spec, rec.check_b2), rng)
-        rec.check_passed = rec.check_measured == rec.check_expected
-    return rec
+    if rng.random() < config.check_fraction:
+        b2 = index_sub(spec, b, b1)
+        expected = index_sub(spec, c, c1)
+        measured, _ = born_sample(bob1, basis_matrix(spec, b2), rng)
+        return RoundRecord(round_index, "check", None, None, b1, c1, c1p, eve_basis,
+                           eve_outcome, None, b2, expected, measured, measured == expected)
+    bit = int(rng.integers(2))
+    lam = _alice_encode(spec, bit, c1, c1p, delta, rng)
+    decoded = _bob_decode(spec, bob1, bob2, lam, config.mode, config.swap_repetitions, rng)
+    return RoundRecord(round_index, "message", bit, lam, b1, c1, c1p, eve_basis, eve_outcome,
+                       decoded, None, None, None, None)
 
 
 def eavesdropper_detected(passes: int, n_check: int) -> bool:

@@ -1,8 +1,13 @@
 """CLI surface: exit codes, CSV dumps, transcripts, reproducibility."""
 
+import hashlib
+import importlib.util
 import json
 import math
+import re
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -10,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from mubqkd import cli, gf, protocol
 from mubqkd.cli import main
 from mubqkd.mub import basis_matrix
-from mubqkd.protocol import SessionConfig, _uniform_cdf, run_session
+from mubqkd.protocol import SessionConfig, run_session
 
 
 def test_verify_clean_field(capsys):
@@ -68,15 +73,13 @@ def test_session_tables_fit_in_16_d_bytes():
     """The uniform cdf and both digit tables of the largest field of each
     degree that session accepts take at most 16 * d bytes."""
     limit = gf.MAX_D
-    try:
-        for n in range(1, int(math.log(limit, 3)) + 1):
-            p = next(p for p in range(int(limit ** (1 / n)) + 1, 2, -1)
-                     if p % 2 and gf.is_prime(p) and p ** n <= limit)
-            spec = gf.FieldSpec(p, n)
-            tables = spec.digit_tables[1:] if n > 1 else ()
-            assert _uniform_cdf(spec.d).nbytes + sum(t.nbytes for t in tables) <= 16 * spec.d
-    finally:
-        _uniform_cdf.cache_clear()
+    for n in range(1, int(math.log(limit, 3)) + 1):
+        p = next(p for p in range(int(limit ** (1 / n)) + 1, 2, -1)
+                 if p % 2 and gf.is_prime(p) and p ** n <= limit)
+        spec = gf.FieldSpec(p, n)
+        tables = spec.digit_tables[1:] if n > 1 else ()
+        cdf = SessionConfig(field=spec, rounds=1)._plan.cdf
+        assert cdf.nbytes + sum(t.nbytes for t in tables) <= 16 * spec.d
 
 
 def test_verify_rejects_no_samples(capsys):
@@ -105,6 +108,47 @@ def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--p", "3", "--frobnicate"])
     assert exc.value.code == 2
+
+
+def test_invalid_command_error_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["frobnicate"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'frobnicate'" in err
+    assert re.findall("[a-z]+", err.split("choose from", 1)[1]) == list(cli._COMMANDS)
+    assert list(cli._COMMANDS) == ["verify", "bases", "wigner", "session"]
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["verify", "-h"], ["bases", "-h"], ["wigner", "-h"],
+                                  ["session", "-h"]], ids=lambda argv: argv[0])
+def test_help_matches_the_full_parser(capsys, argv):
+    """main builds only the named command's arguments; its help is the
+    help of the parser that has them all."""
+    with pytest.raises(SystemExit):
+        cli._build_parser().parse_args(argv)
+    full = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert capsys.readouterr().out == full
+
+
+def test_benchmark_sessions_match_their_pins(tmp_path, capsys, monkeypatch):
+    """The benchmark's two sessions at CLI seed 0 write the transcripts whose
+    sha256 perfbench/expected.json pins.  The d = 243 one runs the
+    three-chunk field arithmetic, beyond the dense differential's d <= 25."""
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)   # for its dataclass
+    spec.loader.exec_module(workloads)
+    seed = workloads.GOLDEN_CLI_SEED
+    pins = json.loads((bench / "expected.json").read_text())["full"]
+    assert set(pins) == set(workloads.FULL)
+    for name, w in workloads.FULL.items():
+        out = tmp_path / f"{name}.jsonl"
+        assert main(w.argv(seed, str(out), str(tmp_path / "s.json"))) == w.expected_rc
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == pins[name][str(seed)], name
 
 
 def test_bases_csv(capsys):

@@ -1,6 +1,7 @@
 """The label round against the dense reference round, and label sessions at
 a dimension the dense engine cannot hold."""
 
+import dataclasses
 import itertools
 import json
 
@@ -63,3 +64,37 @@ def test_d729_session_runs_without_dense_matrices():
     assert basis_matrix.cache_info().currsize == cached
     expect = 2 / (d + 1)
     assert abs(rate - expect) < 3 * np.sqrt(expect * (1 - expect) / config.rounds)
+
+
+@pytest.mark.parametrize("change", [
+    {"seed": 8}, {"delta_offset": 5}, {"pair_label": (2, 7)}, {"pair_label": None},
+    {"eve": EveStrategy("intercept_resend", "uniform_quadratic")},
+    {"eve": EveStrategy("intercept_resend", "fixed", 9)},
+], ids=["seed", "delta", "pair", "no-pair", "picker", "fixed-basis"])
+def test_configs_differing_in_one_value_never_share_a_plan(change):
+    base = SessionConfig(field=FieldSpec(3, 2), rounds=120, check_fraction=0.3, mode="swap",
+                         swap_repetitions=2, eve=EveStrategy("intercept_resend", "fixed", 4),
+                         delta_offset=1, pair_label=(1, 2), seed=3)
+    plan = base._plan
+    other = dataclasses.replace(base, **change)
+    assert other._plan is not plan
+    for config in (base, other):
+        assert _jsonl(run_round, config, Draws) == _jsonl(run_round_dense, config, Draws), config
+
+
+@pytest.mark.parametrize("config", [
+    SessionConfig(field=FieldSpec(3, 2), rounds=200, check_fraction=0.5, mode="swap",
+                  swap_repetitions=2, eve=EveStrategy("intercept_resend", "uniform_all"), seed=4),
+    SessionConfig(field=FieldSpec(7, 1), rounds=200, check_fraction=0.5, delta_offset=3, seed=5),
+], ids=["d9-swap-eve", "d7-oracle"])
+def test_label_round_on_a_numpy_generator_returns_plain_values(config):
+    rng = np.random.default_rng(config.seed)
+    kinds = set()
+    for i in range(config.rounds):
+        rec = run_round(config, i, rng)
+        kinds.add(rec.kind)
+        for value in rec.to_json().values():
+            assert type(value) in (int, str, bool, list, type(None)), rec
+        assert rec.eve_outcome is None or [type(k) for k in rec.eve_outcome] == [int, int]
+        json.dumps(rec.to_json())
+    assert kinds == {"message", "check"}

@@ -1,9 +1,11 @@
 """Protocol engine: encode/decode laws, round flow, eavesdropper statistics,
 transcripts."""
 
+import dataclasses
 import itertools
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -299,6 +301,28 @@ def test_config_stores_plain_numbers():
     assert json.loads(json.dumps(summary))["config"] == cfg.to_json()
 
 
+def test_round_plan_is_no_part_of_the_config():
+    cfg = SessionConfig(field=FieldSpec(3, 2), rounds=5, pair_label=(1, 2), seed=3,
+                        eve=EveStrategy("intercept_resend", "fixed", 4))
+    before = repr(cfg), hash(cfg), cfg.to_json()
+    plan = cfg._plan
+    assert cfg._plan is plan
+    assert (repr(cfg), hash(cfg), cfg.to_json()) == before
+    twin = SessionConfig.from_json(cfg.to_json())
+    assert cfg == twin and hash(cfg) == hash(twin)
+    assert "_plan" not in {f.name for f in dataclasses.fields(cfg)} and "plan" not in repr(cfg)
+    assert np.array_equal(plan.cdf, np.cumsum(np.full(9, 1 / 9))) and plan.cdf.readonly
+
+
+@pytest.mark.parametrize("spec", [GF7, FieldSpec(3, 2)], ids=["d7", "d9"])
+def test_config_pickles_after_a_session(spec):
+    cfg = SessionConfig(field=spec, rounds=40, check_fraction=0.5, seed=6)
+    records = [r.to_json() for r in run_session(cfg).records]
+    copy = pickle.loads(pickle.dumps(cfg))
+    assert copy == cfg
+    assert [r.to_json() for r in run_session(copy).records] == records
+
+
 def test_config_json_roundtrip():
     cfg = SessionConfig(field=FieldSpec(3, 2), rounds=50, check_fraction=0.4,
                         mode="swap", swap_repetitions=3,
@@ -390,14 +414,6 @@ def test_session_never_imports_numpy_random(tmp_path):
                    check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
 
 
-class _FixedVariate:
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
 @pytest.mark.parametrize("d", [3, 7, 243, 3 ** 10])
 def test_uniform_outcome_matches_searchsorted(d):
     cdf = np.cumsum(np.full(d, 1.0 / d))
@@ -405,7 +421,7 @@ def test_uniform_outcome_matches_searchsorted(d):
                          np.random.default_rng(d).random(2000)])
     us = us[us < 1.0]
     expect = np.minimum(cdf.searchsorted(us, side="right"), d - 1)
-    assert [_uniform_outcome(d, _FixedVariate(u)) for u in us.tolist()] == expect.tolist()
+    assert [_uniform_outcome(u, d, memoryview(cdf)) for u in us.tolist()] == expect.tolist()
 
 
 # ---------------------------------------------------------------------------
