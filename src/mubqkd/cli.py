@@ -20,7 +20,7 @@ from .gf import FieldSpec, index_add, index_sub, refuse_oversize
 from .hilbert import project_first
 from .mub import mub_state, unbiasedness_report
 from .phasespace import dwigner1, dwigner2_support
-from .protocol import SessionConfig, session_records, session_summary
+from .protocol import Draws, SessionConfig, session_records, session_summary
 
 # Largest deviation verify accepts in the projection, shift and EPR checks.
 VERIFY_TOL = 1e-12
@@ -29,8 +29,9 @@ VERIFY_TOL = 1e-12
 # offending value, is cut to this many characters, the last one an ellipsis.
 MAX_ERROR_CHARS = 200
 
-# Most --samples verify takes: it draws (samples, 4) int64 indices at once,
-# 32 MB at this count.
+# Most --samples verify takes.  It draws each sampled index tuple as it tests
+# it, so the cap bounds time, not memory: a sample costs dense d-vector work
+# in three checks, about 0.3 ms at d = 81, so 10**6 samples take minutes.
 VERIFY_MAX_SAMPLES = 10 ** 6
 
 
@@ -60,16 +61,17 @@ def _field_from_args(args) -> FieldSpec:
 # ---------------------------------------------------------------------------
 
 def _tuple_stream(d: int, width: int, samples: int, rng):
-    """Index tuples to test: exhaustive for small d, sampled otherwise."""
+    """Index tuples to test: exhaustive for small d, sampled otherwise, one
+    integers(d) per entry."""
     if d ** width <= 2500:
         yield from itertools.product(range(d), repeat=width)
     else:
-        for row in rng.integers(0, d, size=(samples, width)):
-            yield tuple(int(x) for x in row)
+        for _ in range(samples):
+            yield tuple(rng.integers(d) for _ in range(width))
 
 
 def _verify_report(spec: FieldSpec, samples: int, seed: int) -> dict:
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     d = spec.d
     rep = unbiasedness_report(spec)
     root_d = np.sqrt(d)

@@ -3,7 +3,8 @@ discrete Wigner tables for the finite one.
 
 Continuous states are never stored as amplitude arrays (they are not
 normalizable); the CvLabel algebra is the complete model, and each label
-corresponds to one straight line in phase space.
+corresponds to one straight line in phase space.  run_cv_round plays a
+message round of the protocol on these labels.
 
 Kernel convention at odd prime d, with h the inverse of 2 mod d and
 omega = exp(2*pi*i/d):
@@ -89,6 +90,44 @@ def cv_intersect(l1: CvLabel, l2: CvLabel) -> LineIntersection:
         return LineIntersection("none")
     q = (l2.c - l1.c) / (l1.b - l2.b)
     return LineIntersection("point", (q, l1.b * q + l1.c))
+
+
+def run_cv_round(bit: int, rng, b: float | None = None, c: float | None = None,
+                 delta: float = 0.0) -> dict:
+    """Label-level continuous-variable analog of one message round.
+
+    Measurement outcomes are drawn uniformly from [-10, 10) (a uniform
+    distribution over all reals is improper).  The label algebra reproduces
+    the same-basis delta correlation: the shifted second label matches the
+    first exactly when lambda equals c1' - c1 + delta.
+    """
+    lo, hi = -10.0, 10.0
+    if b is None:
+        b = float(rng.uniform(lo, hi))
+    if c is None:
+        c = float(rng.uniform(lo, hi))
+    b1 = float(rng.uniform(lo, hi))
+    c1 = float(rng.uniform(lo, hi))
+    c1p = float(rng.uniform(lo, hi))
+    bob1 = cv_split(CvLabel(b, c), b1, c1)
+    bob2 = cv_split(CvLabel(b, c - delta), b1, c1p)
+    match = c1p - c1 + delta
+    if bit == 1:
+        lam = match
+    else:
+        off = 0.0
+        while abs(off) < 1e-6:
+            off = float(rng.uniform(lo, hi))
+        lam = match + off
+    shifted = cv_shift(bob2, lam)
+    decoded = 1 if cv_equal_delta(bob1, shifted) else 0
+    return {
+        "bit_sent": bit,
+        "lambda": lam,
+        "decoded": decoded,
+        "alice": {"b1": b1, "c1": c1, "c1p": c1p},
+        "bob": {"b2": bob1.b, "c2": bob1.c, "c2p_shifted": shifted.c},
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,7 @@ holds one record at a time; run_session keeps them all, for library use.
 run_round plays a round on MUB labels alone: every state is a pair
 (basis index, c index), basis index d being the computational basis, and
 the outcome of measuring one in a basis is certain in its own basis and
-uniform in any other (the bases are mutually unbiased).  run_round_dense
-plays the same round on dense state vectors.  Both draw the same variates
-in the same order, so they write the same records; the dense round is the
-physics reference that the label round is tested against.
+uniform in any other (the bases are mutually unbiased).
 
 run_round reads a round plan that its config builds once, on first use
 (SessionConfig._plan): d, p, the digit tables of the field (or mod p at
@@ -37,12 +34,13 @@ indices, a table lookup per chunk of digits at n >= 2; an O(1) check
 against the cdf for each uniform outcome; and one positional RoundRecord.
 The draws are the largest share.
 
-Either round takes any rng with random() and integers(high).  A session
-passes a Draws, which yields the variates of np.random.default_rng(seed)
-draw for draw, at a fraction of numpy's cost per call.  It computes the
-words of numpy's PCG64 stream itself, seeding as numpy's SeedSequence does
-and stepping the 128-bit state through a table of jumps, a block of words
-at a time in numpy arrays, so a session never imports numpy.random.
+run_round takes any rng with random() and integers(high).  A session
+passes a Draws, which yields the variates of numpy's Generator on
+PCG64(seed) draw for draw, at a fraction of numpy's cost per call.  It
+computes the words of numpy's PCG64 stream itself, seeding as numpy's
+SeedSequence does and stepping the 128-bit state through a table of jumps,
+a block of words at a time in numpy arrays, so a session never imports
+numpy's random module.
 """
 
 from __future__ import annotations
@@ -57,13 +55,7 @@ from numbers import Real
 
 import numpy as np
 
-from .entangle import entangled_mub, measure_first, shift_remote
-from .gf import FieldSpec, chunkwise, index_add, index_sub
-from .hilbert import born_sample, inner, swap_test
-from .mub import basis_matrix
-from .phasespace import CvLabel, cv_equal_delta, cv_shift, cv_split
-
-ORACLE_MATCH_TOL = 1e-9
+from .gf import FieldSpec, chunkwise
 
 _EVE_KINDS = ("none", "intercept_resend")
 _EVE_PICKERS = ("fixed", "uniform_quadratic", "uniform_all")
@@ -185,17 +177,20 @@ class SessionConfig:
 
     def __post_init__(self):
         # a library caller meets the document's type rules; values become plain
-        for name in ("rounds", "check_fraction", "swap_repetitions", "seed"):
+        for name in ("rounds", "check_fraction", "swap_repetitions", "seed", "delta_offset"):
             object.__setattr__(self, name, _json_check(getattr(self, name), _CONFIG_KINDS[name], name))
+        label = self.pair_label
+        if label is not None:
+            label = [_json_check(x, int, f"pair_label[{i}]") for i, x in enumerate(label)]
         # labels are canonical element indices, checked as GfElem checks them
         with _at("delta_offset"):
             object.__setattr__(self, "delta_offset", self.field.from_index(self.delta_offset).index)
-        if self.pair_label is not None:
-            if len(self.pair_label) != 2:
-                raise ValueError(f"pair_label: expected [b, c], got {len(self.pair_label)} entries")
+        if label is not None:
+            if len(label) != 2:
+                raise ValueError(f"pair_label: expected [b, c], got {len(label)} entries")
             with _at("pair_label"):
                 object.__setattr__(self, "pair_label",
-                                   tuple(self.field.from_index(k).index for k in self.pair_label))
+                                   tuple(self.field.from_index(k).index for k in label))
         if self.rounds < 1:
             raise ValueError(f"rounds must be at least 1, got {self.rounds}")
         if not 0.0 <= self.check_fraction <= 1.0:
@@ -256,9 +251,6 @@ class SessionConfig:
             values["field"] = FieldSpec.from_config(values["field"])
         if "eve" in values:
             values["eve"] = EveStrategy.from_json(values["eve"])
-        if "pair_label" in values:
-            values["pair_label"] = tuple(_json_check(x, int, f"pair_label[{i}]")
-                                         for i, x in enumerate(values["pair_label"]))
         return cls(**values)
 
 
@@ -339,7 +331,7 @@ _BLOCK_WORDS = _BLOCK_ROOT ** 2
 
 
 def _seed_state(seed: int) -> tuple[int, int]:
-    """(state, inc) of np.random.PCG64(seed) after seeding, with Python ints.
+    """(state, inc) of numpy's PCG64(seed) after seeding, with Python ints.
 
     numpy's SeedSequence hashes the seed's 32-bit words (least significant
     first; seed 0 is one word) into a pool of four and draws four 64-bit
@@ -437,9 +429,9 @@ def _jumps(inc: int):
 
 
 class Draws:
-    """The variates of np.random.default_rng(seed), draw for draw, for the two
-    calls a round makes, without numpy's cost per call and without importing
-    numpy.random.
+    """The variates of numpy's Generator on PCG64(seed), draw for draw, for
+    its calls random() and integers(high), without numpy's cost per call and
+    without importing numpy's random module.
 
     The words are those of numpy's PCG64 stream, random_raw, computed here:
     _seed_state seeds the state as numpy does, and each block of
@@ -508,42 +500,6 @@ class Draws:
                 return m >> 32
 
 
-def _alice_encode(spec: FieldSpec, bit: int, c1: int, c1p: int, delta: int, rng) -> int:
-    """Announcement index: the matching shift c1p - c1 + delta for bit 1,
-    uniformly any of the d-1 other field values for bit 0."""
-    match = index_add(spec, index_sub(spec, c1p, c1), delta)
-    if bit == 1:
-        return match
-    k = int(rng.integers(spec.d - 1))
-    return k + 1 if k >= match else k
-
-
-def _bob_decode(spec: FieldSpec, state2: np.ndarray, state2p: np.ndarray, lam: int,
-                mode: str, reps: int, rng) -> int:
-    """Shift the second state by lam and compare with the first.
-
-    oracle mode decides from the exact overlap magnitude; swap mode runs
-    reps independent swap tests (fresh copies each) and decodes 0 on any
-    antisymmetric outcome.
-    """
-    shifted = shift_remote(state2p, spec.from_index(lam))
-    if mode == "oracle":
-        return 1 if abs(inner(state2, shifted)) > 1.0 - ORACLE_MATCH_TOL else 0
-    for _ in range(reps):
-        if swap_test(state2, shifted, rng) == "antisymmetric":
-            return 0
-    return 1
-
-
-def _pick_eve_basis(eve: EveStrategy, d: int, rng) -> int:
-    """Canonical index of the basis Eve measures in this round."""
-    if eve.picker == "fixed":
-        return int(eve.fixed_basis)
-    if eve.picker == "uniform_quadratic":
-        return int(rng.integers(d))
-    return int(rng.integers(d + 1))
-
-
 def _uniform_outcome(u: float, d: int, cdf) -> int:
     """The outcome of d equally likely ones that sample_index draws for the
     variate u in [0, 1): min(searchsorted(cdf, u, "right"), d - 1), guessed
@@ -558,7 +514,8 @@ def _uniform_outcome(u: float, d: int, cdf) -> int:
 
 
 def run_round(config: SessionConfig, round_index: int, rng) -> RoundRecord:
-    """One round on MUB labels; the same draws and record as run_round_dense.
+    """One round on MUB labels; the dense reference round of the tests makes
+    the same draws and writes the same record.
 
     A measurement of the state labeled (basis, c) is certain in its own
     basis and uniform in every other, one variate either way, as born_sample
@@ -637,46 +594,6 @@ def run_round(config: SessionConfig, round_index: int, rng) -> RoundRecord:
                        decoded, None, None, None, None)
 
 
-def run_round_dense(config: SessionConfig, round_index: int, rng) -> RoundRecord:
-    """One round on dense state vectors: the physics reference for run_round."""
-    spec = config.field
-    d = spec.d
-    if config.pair_label is None:
-        b = int(rng.integers(d))
-        c = int(rng.integers(d))
-    else:
-        b, c = config.pair_label
-    delta = config.delta_offset
-    pair1 = entangled_mub(spec, b, c)
-    pair2 = entangled_mub(spec, b, index_sub(spec, c, delta))
-
-    # one quadratic basis for both of Alice's measurements
-    b1 = int(rng.integers(d))
-    c1, bob1 = measure_first(spec, pair1, b1, rng)
-    c1p, bob2 = measure_first(spec, pair2, b1, rng)
-
-    eve_basis = eve_outcome = None
-    if config.eve.kind == "intercept_resend":
-        eve_basis = _pick_eve_basis(config.eve, d, rng)
-        eve_mat = basis_matrix(spec, eve_basis)
-        k1, bob1 = born_sample(bob1, eve_mat, rng)
-        k2, bob2 = born_sample(bob2, eve_mat, rng)
-        eve_outcome = [k1, k2]
-
-    # duty assigned only after transit
-    if rng.random() < config.check_fraction:
-        b2 = index_sub(spec, b, b1)
-        expected = index_sub(spec, c, c1)
-        measured, _ = born_sample(bob1, basis_matrix(spec, b2), rng)
-        return RoundRecord(round_index, "check", None, None, b1, c1, c1p, eve_basis,
-                           eve_outcome, None, b2, expected, measured, measured == expected)
-    bit = int(rng.integers(2))
-    lam = _alice_encode(spec, bit, c1, c1p, delta, rng)
-    decoded = _bob_decode(spec, bob1, bob2, lam, config.mode, config.swap_repetitions, rng)
-    return RoundRecord(round_index, "message", bit, lam, b1, c1, c1p, eve_basis, eve_outcome,
-                       decoded, None, None, None, None)
-
-
 def eavesdropper_detected(passes: int, n_check: int) -> bool:
     """Check pass rate significantly below 1 (three binomial sigma)."""
     if n_check == 0:
@@ -729,41 +646,3 @@ def run_session(config: SessionConfig) -> Transcript:
     """All rounds of session_records, kept in memory, and their summary."""
     records = list(session_records(config))
     return Transcript(config=config, records=records, summary=session_summary(config, records))
-
-
-def run_cv_round(bit: int, rng, b: float | None = None, c: float | None = None,
-                 delta: float = 0.0) -> dict:
-    """Label-level continuous-variable analog of one message round.
-
-    Measurement outcomes are drawn uniformly from [-10, 10) (a uniform
-    distribution over all reals is improper).  The label algebra reproduces
-    the same-basis delta correlation: the shifted second label matches the
-    first exactly when lambda equals c1' - c1 + delta.
-    """
-    lo, hi = -10.0, 10.0
-    if b is None:
-        b = float(rng.uniform(lo, hi))
-    if c is None:
-        c = float(rng.uniform(lo, hi))
-    b1 = float(rng.uniform(lo, hi))
-    c1 = float(rng.uniform(lo, hi))
-    c1p = float(rng.uniform(lo, hi))
-    bob1 = cv_split(CvLabel(b, c), b1, c1)
-    bob2 = cv_split(CvLabel(b, c - delta), b1, c1p)
-    match = c1p - c1 + delta
-    if bit == 1:
-        lam = match
-    else:
-        off = 0.0
-        while abs(off) < 1e-6:
-            off = float(rng.uniform(lo, hi))
-        lam = match + off
-    shifted = cv_shift(bob2, lam)
-    decoded = 1 if cv_equal_delta(bob1, shifted) else 0
-    return {
-        "bit_sent": bit,
-        "lambda": lam,
-        "decoded": decoded,
-        "alice": {"b1": b1, "c1": c1, "c1p": c1p},
-        "bob": {"b2": bob1.b, "c2": bob1.c, "c2p_shifted": shifted.c},
-    }

@@ -10,8 +10,9 @@ import pytest
 
 from mubqkd.gf import FieldSpec
 from mubqkd.mub import basis_matrix
-from mubqkd.protocol import (Draws, EveStrategy, SessionConfig, run_round, run_round_dense,
-                             run_session)
+from mubqkd.protocol import Draws, EveStrategy, SessionConfig, run_round, run_session
+
+from dense_round import run_round_dense
 
 EVES = {
     "none": lambda d: EveStrategy(),

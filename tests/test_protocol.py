@@ -17,11 +17,12 @@ from mubqkd.gf import FieldSpec
 from mubqkd.hilbert import born_sample
 from mubqkd.mub import basis_matrix, mub_state
 from mubqkd.entangle import entangled_mub, measure_first
+from mubqkd.phasespace import run_cv_round
 from mubqkd.protocol import (_BLOCK_WORDS, Draws, EveStrategy, RoundRecord, SessionConfig,
-                             _alice_encode, _bob_decode, _seed_state, _uniform_outcome,
-                             eavesdropper_detected,
-                             run_cv_round, run_round, run_session, session_records,
-                             summarize)
+                             _seed_state, _uniform_outcome, eavesdropper_detected,
+                             run_round, run_session, session_records, summarize)
+
+from dense_round import _alice_encode, _bob_decode
 
 GF3 = FieldSpec(3, 1)
 GF7 = FieldSpec(7, 1)
@@ -284,8 +285,14 @@ def test_config_validation():
     (lambda: EveStrategy("intercept_resend", "fixed", 1.5), "fixed_basis"),
     (lambda: SessionConfig(field=GF3, rounds=5, swap_repetitions=2.5), "swap_repetitions"),
     (lambda: SessionConfig(field=GF3, rounds=5, seed=False), "seed"),
+    (lambda: SessionConfig(field=GF3, rounds=5, delta_offset=True), "delta_offset"),
+    (lambda: SessionConfig(field=GF3, rounds=5, delta_offset=2.0), "delta_offset"),
+    (lambda: SessionConfig(field=GF3, rounds=5, pair_label=(True, 2)), r"pair_label\[0\]"),
+    (lambda: SessionConfig(field=GF3, rounds=5, pair_label=(1.5, 2)), r"pair_label\[0\]"),
+    (lambda: SessionConfig(field=GF3, rounds=5, pair_label="ab"), r"pair_label\[0\]"),
 ], ids=["rounds-bool", "check_fraction-bool", "check_fraction-str", "fixed_basis-float",
-        "swap_repetitions-float", "seed-bool"])
+        "swap_repetitions-float", "seed-bool", "delta_offset-bool", "delta_offset-float",
+        "pair_label-bool", "pair_label-float", "pair_label-str"])
 def test_config_refuses_what_the_document_refuses(build, field):
     with pytest.raises(ValueError, match=f"^{field}: "):
         build()
@@ -412,6 +419,26 @@ def test_session_never_imports_numpy_random(tmp_path):
             "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n")
     subprocess.run([sys.executable, "-W", "error", "-c", code, str(tmp_path / "stats.json")],
                    check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+
+
+@pytest.mark.parametrize("d, seed", [(9, 0), (81, 9), (125, 2 ** 40), (125, 3)])
+def test_draws_match_sized_generator_draws_in_verify_order(d, seed):
+    draws, gen = Draws(seed), np.random.default_rng(seed)
+    for width in (4, 3, 4):
+        assert gen.integers(0, d, size=(201, width)).tolist() == [
+            [draws.integers(d) for _ in range(width)] for _ in range(201)]
+    for _ in range(20):
+        assert [draws.integers(d), draws.integers(d), draws.random(), draws.random()] == [
+            int(gen.integers(d)), int(gen.integers(d)), gen.random(), gen.random()]
+
+
+def test_verify_never_imports_numpy_random():
+    code = ("import sys\nfrom mubqkd.cli import main\n"
+            "assert main(['verify', '--p', '3', '--n', '2']) == 0\n"
+            "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n")
+    src = os.path.dirname(os.path.dirname(mubqkd.__file__))
+    subprocess.run([sys.executable, "-W", "error", "-c", code], check=True, timeout=60,
+                   env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.DEVNULL)
 
 
 @pytest.mark.parametrize("d", [3, 7, 243, 3 ** 10])
