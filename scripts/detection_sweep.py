@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from mubqkd.gf import FieldSpec
-from mubqkd.protocol import EveStrategy, SessionConfig, run_session
+from mubqkd.protocol import EveStrategy, SessionConfig, session_records, session_summary
 
 FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)]
 PICKERS = ["none", "uniform_quadratic", "uniform_all"]
@@ -40,11 +40,11 @@ def main():
                    else EveStrategy("intercept_resend", picker))
             cfg = SessionConfig(field=spec, rounds=args.rounds, check_fraction=1.0,
                                 eve=eve, seed=args.seed)
-            t = run_session(cfg)
-            rate = t.summary["check_pass_rate"]
+            summary = session_summary(cfg, session_records(cfg))
+            rate = summary["check_pass_rate"]
             lines.append(f"{p},{n},{spec.d},{picker},{args.rounds},"
                          f"{rate:.6f},{predicted_pass_rate(spec.d, picker):.6f},"
-                         f"{t.summary['eavesdropper_detected']}")
+                         f"{summary['eavesdropper_detected']}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

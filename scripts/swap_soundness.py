@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from mubqkd.gf import FieldSpec
-from mubqkd.protocol import SessionConfig, run_session
+from mubqkd.protocol import SessionConfig, session_records
 
 
 def main():
@@ -27,10 +27,12 @@ def main():
     for reps in range(1, args.max_reps + 1):
         cfg = SessionConfig(field=spec, rounds=args.rounds, check_fraction=0.0,
                             mode="swap", swap_repetitions=reps, seed=args.seed + reps)
-        t = run_session(cfg)
-        bit0 = [r for r in t.records if r.bit_sent == 0]
-        mis = sum(r.decoded == 1 for r in bit0) / len(bit0)
-        lines.append(f"{spec.d},{reps},{len(bit0)},{mis:.6f},{0.5 ** reps:.6f}")
+        bit0 = misdecoded = 0
+        for r in session_records(cfg):
+            if r.bit_sent == 0:
+                bit0 += 1
+                misdecoded += r.decoded == 1
+        lines.append(f"{spec.d},{reps},{bit0},{misdecoded / bit0:.6f},{0.5 ** reps:.6f}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

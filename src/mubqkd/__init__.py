@@ -9,8 +9,7 @@ from .hilbert import (apply_diag_phase, basis_state, born_sample, inner,
 from .mub import UnbiasednessReport, basis_matrix, mub_state, unbiasedness_report
 from .phasespace import (CvLabel, LineIntersection, cv_equal_delta, cv_intersect,
                          cv_shift, cv_split, dwigner1, dwigner2_support, run_cv_round)
-from .protocol import (EveStrategy, RoundRecord, SessionConfig, Transcript,
-                       eavesdropper_detected, run_round, run_session, session_records,
-                       session_summary, summarize)
+from .protocol import (EveStrategy, RoundRecord, SessionConfig, eavesdropper_detected,
+                       run_round, session_records, session_summary, summarize)
 
 __version__ = "0.1.0"

@@ -97,18 +97,20 @@ def run_cv_round(bit: int, rng, b: float | None = None, c: float | None = None,
     """Label-level continuous-variable analog of one message round.
 
     Measurement outcomes are drawn uniformly from [-10, 10) (a uniform
-    distribution over all reals is improper).  The label algebra reproduces
-    the same-basis delta correlation: the shifted second label matches the
-    first exactly when lambda equals c1' - c1 + delta.
+    distribution over all reals is improper) as numpy's uniform(-10, 10)
+    draws them from rng.random(), so rng may be a Generator or a Draws.  The
+    label algebra reproduces the same-basis delta correlation: the shifted
+    second label matches the first exactly when lambda equals c1' - c1 + delta.
     """
-    lo, hi = -10.0, 10.0
+    def uniform() -> float:
+        return -10.0 + 20.0 * rng.random()
     if b is None:
-        b = float(rng.uniform(lo, hi))
+        b = uniform()
     if c is None:
-        c = float(rng.uniform(lo, hi))
-    b1 = float(rng.uniform(lo, hi))
-    c1 = float(rng.uniform(lo, hi))
-    c1p = float(rng.uniform(lo, hi))
+        c = uniform()
+    b1 = uniform()
+    c1 = uniform()
+    c1p = uniform()
     bob1 = cv_split(CvLabel(b, c), b1, c1)
     bob2 = cv_split(CvLabel(b, c - delta), b1, c1p)
     match = c1p - c1 + delta
@@ -117,7 +119,7 @@ def run_cv_round(bit: int, rng, b: float | None = None, c: float | None = None,
     else:
         off = 0.0
         while abs(off) < 1e-6:
-            off = float(rng.uniform(lo, hi))
+            off = uniform()
         lam = match + off
     shifted = cv_shift(bob2, lam)
     decoded = 1 if cv_equal_delta(bob1, shifted) else 0

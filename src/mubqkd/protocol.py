@@ -17,8 +17,7 @@ eavesdropper cannot condition on it:
 Sessions are deterministic functions of their seed; transcripts persist
 as JSON Lines plus a single summary document.  session_records yields the
 rounds one at a time, RoundRecord.to_jsonl writes a record's line directly,
-and summarize counts in one pass, so a session streamed to its transcript
-holds one record at a time; run_session keeps them all, for library use.
+and summarize counts in one pass, so a session holds one record at a time.
 
 run_round plays a round on MUB labels alone: every state is a pair
 (basis index, c index), basis index d being the computational basis, and
@@ -47,7 +46,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping, Set
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field as dc_field, fields
 from functools import cached_property
@@ -71,9 +70,10 @@ _JSON_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
 
 
 def _json_check(value, kind: type, path: str):
-    """value if it has the JSON type that kind stands for, else ValueError
-    naming path.  int takes whatever operator.index takes and float any real
-    number, neither a bool, and returns a plain int or float."""
+    """value if it has the JSON type that kind stands for, or is an instance
+    of any other kind, else ValueError naming path.  int takes whatever
+    operator.index takes and float any real number, neither a bool, and
+    returns a plain int or float."""
     if not isinstance(value, bool):
         if kind is int:
             with suppress(TypeError):
@@ -81,7 +81,7 @@ def _json_check(value, kind: type, path: str):
         elif isinstance(value, Real if kind is float else kind):
             return float(value) if kind is float else value
     got = _JSON_TYPE_NAMES.get(type(value), "null" if value is None else type(value).__name__)
-    raise ValueError(f"{path}: expected {_JSON_TYPE_NAMES[kind]}, got {got}")
+    raise ValueError(f"{path}: expected {_JSON_TYPE_NAMES.get(kind, kind.__name__)}, got {got}")
 
 
 def _json_fields(doc: dict, kinds: dict, parent: str) -> dict:
@@ -177,10 +177,14 @@ class SessionConfig:
 
     def __post_init__(self):
         # a library caller meets the document's type rules; values become plain
+        for name, kind in (("field", FieldSpec), ("eve", EveStrategy)):
+            _json_check(getattr(self, name), kind, name)
         for name in ("rounds", "check_fraction", "swap_repetitions", "seed", "delta_offset"):
             object.__setattr__(self, name, _json_check(getattr(self, name), _CONFIG_KINDS[name], name))
         label = self.pair_label
         if label is not None:
+            if isinstance(label, (Mapping, Set)) or not isinstance(label, Iterable):
+                raise ValueError(f"pair_label: expected a sequence, got {type(label).__name__}")
             label = [_json_check(x, int, f"pair_label[{i}]") for i, x in enumerate(label)]
         # labels are canonical element indices, checked as GfElem checks them
         with _at("delta_offset"):
@@ -298,13 +302,6 @@ class RoundRecord:
                 f'"check_expected": {"null" if self.check_expected is None else self.check_expected}, '
                 f'"check_measured": {"null" if self.check_measured is None else self.check_measured}, '
                 f'"check_passed": {"null" if passed is None else "true" if passed else "false"}}}\n')
-
-
-@dataclass
-class Transcript:
-    config: SessionConfig
-    records: list[RoundRecord]
-    summary: dict
 
 
 # PCG64 (O'Neill, HMC-CS-2014-0905): a 128-bit LCG state s -> s*M + inc,
@@ -640,9 +637,3 @@ def session_records(config: SessionConfig) -> Iterator[RoundRecord]:
 def session_summary(config: SessionConfig, records: Iterable[RoundRecord]) -> dict:
     """The summary document: schema version, the config and summarize(records)."""
     return {"v": 1, "config": config.to_json(), **summarize(records)}
-
-
-def run_session(config: SessionConfig) -> Transcript:
-    """All rounds of session_records, kept in memory, and their summary."""
-    records = list(session_records(config))
-    return Transcript(config=config, records=records, summary=session_summary(config, records))

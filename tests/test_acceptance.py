@@ -19,7 +19,7 @@ from mubqkd.hilbert import project_first
 from mubqkd.mub import mub_state, unbiasedness_report
 from mubqkd.entangle import entangled_mub, shift_remote
 from mubqkd.phasespace import dwigner1, dwigner2_support
-from mubqkd.protocol import EveStrategy, SessionConfig, run_session
+from mubqkd.protocol import EveStrategy, SessionConfig, session_records, session_summary
 
 ALL_SPECS = [FieldSpec(3, 1), FieldSpec(5, 1), FieldSpec(7, 1),
              FieldSpec(3, 2), FieldSpec(5, 2), FieldSpec(3, 3)]
@@ -121,12 +121,13 @@ def test_criterion_5_two_particle_wigner_support():
 def test_criterion_6_protocol_completeness():
     with criterion("6: clean oracle session at d=7, 1000 rounds, under 5 s"):
         start = time.monotonic()
-        t = run_session(SessionConfig(field=FieldSpec(7, 1), rounds=1000,
-                                      check_fraction=0.25, mode="oracle", seed=20260810))
+        cfg = SessionConfig(field=FieldSpec(7, 1), rounds=1000,
+                            check_fraction=0.25, mode="oracle", seed=20260810)
+        summary = session_summary(cfg, session_records(cfg))
         elapsed = time.monotonic() - start
-        assert t.summary["message_rounds"] > 0 and t.summary["check_rounds"] > 0
-        assert t.summary["bit_error_rate"] == 0.0
-        assert t.summary["check_pass_rate"] == 1.0
+        assert summary["message_rounds"] > 0 and summary["check_rounds"] > 0
+        assert summary["bit_error_rate"] == 0.0
+        assert summary["check_pass_rate"] == 1.0
         assert elapsed < 5.0
 
 
@@ -135,9 +136,9 @@ def test_criterion_7_swap_mode_statistics():
         for reps in (1, 2, 4):
             cfg = SessionConfig(field=FieldSpec(7, 1), rounds=21_000, check_fraction=0.0,
                                 mode="swap", swap_repetitions=reps, seed=100 + reps)
-            t = run_session(cfg)
-            bit0 = [r for r in t.records if r.bit_sent == 0]
-            bit1 = [r for r in t.records if r.bit_sent == 1]
+            records = list(session_records(cfg))
+            bit0 = [r for r in records if r.bit_sent == 0]
+            bit1 = [r for r in records if r.bit_sent == 1]
             assert len(bit0) >= 10_000
             q = 0.5 ** reps
             mis = sum(r.decoded == 1 for r in bit0) / len(bit0)
@@ -152,12 +153,12 @@ def test_criterion_8_eavesdropper_detection():
         for spec, seed in ((FieldSpec(3, 1), 3), (FieldSpec(7, 1), 7), (FieldSpec(5, 2), 25)):
             cfg = SessionConfig(field=spec, rounds=2000, check_fraction=1.0,
                                 eve=EveStrategy("intercept_resend", "uniform_all"), seed=seed)
-            t = run_session(cfg)
-            rate = t.summary["check_pass_rate"]
+            summary = session_summary(cfg, session_records(cfg))
+            rate = summary["check_pass_rate"]
             expect = 2.0 / (spec.d + 1)
             sigma = math.sqrt(expect * (1 - expect) / 2000)
             assert abs(rate - expect) < 3 * sigma
-            assert t.summary["eavesdropper_detected"] is True
+            assert summary["eavesdropper_detected"] is True
             detection.append(1.0 - rate)
         assert detection[0] < detection[1] < detection[2]
 

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from mubqkd import cli, gf, protocol
 from mubqkd.cli import main
 from mubqkd.mub import basis_matrix
-from mubqkd.protocol import SessionConfig, run_session
+from mubqkd.protocol import SessionConfig, session_records, session_summary
 
 
 def test_verify_clean_field(capsys):
@@ -94,7 +94,7 @@ def test_verify_rejects_negative_seed(capsys):
 
 
 def test_verify_rejects_too_many_samples(capsys, monkeypatch):
-    """(samples, 4) int64 indices are drawn at once: 32 GB at 10^9."""
+    """Each sample costs dense d-vector work, about 0.3 ms at d = 81: days at 10^9."""
     monkeypatch.setattr(cli, "_verify_report", _unreachable)
     assert main(["verify", "--p", "3", "--n", "2", "--samples", str(10 ** 9)]) == 2
     assert capsys.readouterr().err == "error: --samples must be at most 1000000, got 1000000000\n"
@@ -307,15 +307,17 @@ def test_session_no_transcript(tmp_path, capsys):
     assert stats.exists()
 
 
-def test_session_streams_what_run_session_returns(tmp_path, capsys):
+def test_session_streams_what_session_records_yields(tmp_path, capsys):
     out, stats = tmp_path / "t.jsonl", tmp_path / "s.json"
     code = main(["session", "--p", "3", "--n", "2", "--rounds", "300", "--check-frac", "0.4",
                  "--mode", "swap", "--reps", "2", "--eve", "uniform-all", "--seed", "13",
                  "--out", str(out), "--stats", str(stats)])
-    t = run_session(SessionConfig.from_json(json.loads(stats.read_text())["config"]))
-    assert code == (3 if t.summary["eavesdropper_detected"] else 0)
-    assert out.read_text() == "".join(json.dumps(rec.to_json()) + "\n" for rec in t.records)
-    assert stats.read_text() == json.dumps(t.summary, indent=2) + "\n"
+    cfg = SessionConfig.from_json(json.loads(stats.read_text())["config"])
+    records = list(session_records(cfg))
+    summary = session_summary(cfg, records)
+    assert code == (3 if summary["eavesdropper_detected"] else 0)
+    assert out.read_text() == "".join(json.dumps(rec.to_json()) + "\n" for rec in records)
+    assert stats.read_text() == json.dumps(summary, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("sink", ["--no-transcript", "--out"])

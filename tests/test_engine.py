@@ -10,7 +10,8 @@ import pytest
 
 from mubqkd.gf import FieldSpec
 from mubqkd.mub import basis_matrix
-from mubqkd.protocol import Draws, EveStrategy, SessionConfig, run_round, run_session
+from mubqkd.protocol import (Draws, EveStrategy, SessionConfig, run_round, session_records,
+                             session_summary)
 
 from dense_round import run_round_dense
 
@@ -61,7 +62,7 @@ def test_d729_session_runs_without_dense_matrices():
     config = SessionConfig(field=spec, rounds=2000, check_fraction=1.0,
                            eve=EveStrategy("intercept_resend", "uniform_all"), seed=3)
     cached = basis_matrix.cache_info().currsize
-    rate = run_session(config).summary["check_pass_rate"]
+    rate = session_summary(config, session_records(config))["check_pass_rate"]
     assert basis_matrix.cache_info().currsize == cached
     expect = 2 / (d + 1)
     assert abs(rate - expect) < 3 * np.sqrt(expect * (1 - expect) / config.rounds)

@@ -20,7 +20,7 @@ from mubqkd.entangle import entangled_mub, measure_first
 from mubqkd.phasespace import run_cv_round
 from mubqkd.protocol import (_BLOCK_WORDS, Draws, EveStrategy, RoundRecord, SessionConfig,
                              _seed_state, _uniform_outcome, eavesdropper_detected,
-                             run_round, run_session, session_records, summarize)
+                             run_round, session_records, session_summary, summarize)
 
 from dense_round import _alice_encode, _bob_decode
 
@@ -136,9 +136,8 @@ def test_round_records_have_consistent_algebra():
     spec = GF3
     config = SessionConfig(field=spec, rounds=300, check_fraction=0.5,
                            pair_label=(2, 1), delta_offset=1, seed=11)
-    transcript = run_session(config)
     b_idx, c_idx = 2, 1
-    for rec in transcript.records:
+    for rec in session_records(config):
         b1 = spec.from_index(rec.b1)
         if rec.kind == "message":
             assert rec.decoded == rec.bit_sent
@@ -152,18 +151,19 @@ def test_round_records_have_consistent_algebra():
 
 
 def test_session_no_eve_oracle_is_clean():
-    t = run_session(SessionConfig(field=GF7, rounds=400, check_fraction=0.25, seed=5))
-    assert t.summary["bit_error_rate"] == 0.0
-    assert t.summary["check_pass_rate"] == 1.0
-    assert t.summary["eavesdropper_detected"] is False
+    cfg = SessionConfig(field=GF7, rounds=400, check_fraction=0.25, seed=5)
+    summary = session_summary(cfg, session_records(cfg))
+    assert summary["bit_error_rate"] == 0.0
+    assert summary["check_pass_rate"] == 1.0
+    assert summary["eavesdropper_detected"] is False
 
 
 def test_session_swap_mode_statistics():
     cfg = SessionConfig(field=GF7, rounds=4000, check_fraction=0.0,
                         mode="swap", swap_repetitions=2, seed=17)
-    t = run_session(cfg)
-    bit0 = [r for r in t.records if r.bit_sent == 0]
-    bit1 = [r for r in t.records if r.bit_sent == 1]
+    records = list(session_records(cfg))
+    bit0 = [r for r in records if r.bit_sent == 0]
+    bit1 = [r for r in records if r.bit_sent == 1]
     mis = sum(r.decoded == 1 for r in bit0) / len(bit0)
     sigma = np.sqrt(0.25 * 0.75 / len(bit0))
     assert abs(mis - 0.25) < 3 * sigma
@@ -173,12 +173,13 @@ def test_session_swap_mode_statistics():
 def test_session_uniform_all_eve_detected():
     cfg = SessionConfig(field=GF3, rounds=2000, check_fraction=1.0,
                         eve=EveStrategy("intercept_resend", "uniform_all"), seed=23)
-    t = run_session(cfg)
-    rate = t.summary["check_pass_rate"]
+    records = list(session_records(cfg))
+    summary = session_summary(cfg, records)
+    rate = summary["check_pass_rate"]
     sigma = np.sqrt(0.5 * 0.5 / 2000)
     assert abs(rate - 0.5) < 3 * sigma
-    assert t.summary["eavesdropper_detected"] is True
-    for rec in t.records:
+    assert summary["eavesdropper_detected"] is True
+    for rec in records:
         assert rec.eve_basis is not None
         assert len(rec.eve_outcome) == 2
 
@@ -186,35 +187,35 @@ def test_session_uniform_all_eve_detected():
 def test_fixed_eve_strategy_runs():
     cfg = SessionConfig(field=GF3, rounds=200, check_fraction=1.0,
                         eve=EveStrategy("intercept_resend", "fixed", 3), seed=29)
-    t = run_session(cfg)
-    assert all(rec.eve_basis == 3 for rec in t.records)
-    assert t.summary["check_pass_rate"] < 1.0
+    records = list(session_records(cfg))
+    assert all(rec.eve_basis == 3 for rec in records)
+    assert session_summary(cfg, records)["check_pass_rate"] < 1.0
 
 
 def test_summary_recomputable_from_records():
     cfg = SessionConfig(field=GF7, rounds=500, check_fraction=0.3,
                         eve=EveStrategy("intercept_resend", "uniform_quadratic"), seed=31)
-    t = run_session(cfg)
-    stats = summarize(t.records)
+    records = list(session_records(cfg))
+    summary = session_summary(cfg, records)
+    stats = summarize(records)
     for key, value in stats.items():
-        assert t.summary[key] == value
-    assert t.summary["v"] == 1
-    assert t.summary["config"] == cfg.to_json()
+        assert summary[key] == value
+    assert summary["v"] == 1
+    assert summary["config"] == cfg.to_json()
 
 
 def test_sessions_deterministic():
     cfg = SessionConfig(field=GF7, rounds=200, check_fraction=0.2, mode="swap",
                         swap_repetitions=2, eve=EveStrategy("intercept_resend", "uniform_all"),
                         seed=37)
-    a = run_session(cfg)
-    b = run_session(cfg)
-    assert [r.to_json() for r in a.records] == [r.to_json() for r in b.records]
-    assert a.summary == b.summary
+    a = list(session_records(cfg))
+    b = list(session_records(cfg))
+    assert [r.to_json() for r in a] == [r.to_json() for r in b]
+    assert session_summary(cfg, a) == session_summary(cfg, b)
 
 
 def test_record_json_schema():
-    t = run_session(SessionConfig(field=GF3, rounds=5, seed=1))
-    for rec in t.records:
+    for rec in session_records(SessionConfig(field=GF3, rounds=5, seed=1)):
         assert list(rec.to_json().keys()) == JSONL_FIELDS
         json.dumps(rec.to_json())
 
@@ -290,12 +291,24 @@ def test_config_validation():
     (lambda: SessionConfig(field=GF3, rounds=5, pair_label=(True, 2)), r"pair_label\[0\]"),
     (lambda: SessionConfig(field=GF3, rounds=5, pair_label=(1.5, 2)), r"pair_label\[0\]"),
     (lambda: SessionConfig(field=GF3, rounds=5, pair_label="ab"), r"pair_label\[0\]"),
+    (lambda: SessionConfig(field=GF3, rounds=5, pair_label={0: 1, 1: 2}), "pair_label"),
+    (lambda: SessionConfig(field=GF3, rounds=5, pair_label={1, 2}), "pair_label"),
+    (lambda: SessionConfig(field=GF3, rounds=5, pair_label=5), "pair_label"),
+    (lambda: SessionConfig(field={"p": 3}, rounds=5), "field"),
+    (lambda: SessionConfig(field=GF3, rounds=5, eve="none"), "eve"),
+    (lambda: SessionConfig(field=GF3, rounds=5, eve=None), "eve"),
 ], ids=["rounds-bool", "check_fraction-bool", "check_fraction-str", "fixed_basis-float",
         "swap_repetitions-float", "seed-bool", "delta_offset-bool", "delta_offset-float",
-        "pair_label-bool", "pair_label-float", "pair_label-str"])
+        "pair_label-bool", "pair_label-float", "pair_label-str", "pair_label-dict",
+        "pair_label-set", "pair_label-int", "field-dict", "eve-str", "eve-none"])
 def test_config_refuses_what_the_document_refuses(build, field):
     with pytest.raises(ValueError, match=f"^{field}: "):
         build()
+
+
+@pytest.mark.parametrize("label", [[1, 2], (1, 2), np.array([1, 2])], ids=["list", "tuple", "array"])
+def test_config_takes_a_pair_label_sequence(label):
+    assert SessionConfig(field=GF3, rounds=5, pair_label=label).pair_label == (1, 2)
 
 
 def test_config_stores_plain_numbers():
@@ -304,7 +317,7 @@ def test_config_stores_plain_numbers():
                         eve=EveStrategy("intercept_resend", "fixed", np.int64(3)))
     assert [type(v) for v in (cfg.rounds, cfg.swap_repetitions, cfg.seed, cfg.eve.fixed_basis,
                               cfg.check_fraction)] == [int] * 4 + [float]
-    summary = run_session(cfg).summary
+    summary = session_summary(cfg, session_records(cfg))
     assert json.loads(json.dumps(summary))["config"] == cfg.to_json()
 
 
@@ -324,10 +337,10 @@ def test_round_plan_is_no_part_of_the_config():
 @pytest.mark.parametrize("spec", [GF7, FieldSpec(3, 2)], ids=["d7", "d9"])
 def test_config_pickles_after_a_session(spec):
     cfg = SessionConfig(field=spec, rounds=40, check_fraction=0.5, seed=6)
-    records = [r.to_json() for r in run_session(cfg).records]
+    records = [r.to_json() for r in session_records(cfg)]
     copy = pickle.loads(pickle.dumps(cfg))
     assert copy == cfg
-    assert [r.to_json() for r in run_session(copy).records] == records
+    assert [r.to_json() for r in session_records(copy)] == records
 
 
 def test_config_json_roundtrip():
@@ -470,3 +483,20 @@ def test_cv_round_label_algebra():
     assert rec["bob"]["c2"] == pytest.approx(0.7 - rec["alice"]["c1"])
     assert rec["lambda"] == pytest.approx(
         rec["alice"]["c1p"] - rec["alice"]["c1"] + 0.3)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cv_round_draws_uniform_through_random(seed):
+    cases = [(0, None, None, 0.0), (1, None, None, 0.0), (0, 2.0, 0.7, 0.3), (1, 2.0, 0.7, -1.5)]
+    ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for bit, b, c, delta in cases:
+        rec = run_cv_round(bit, rng, b, c, delta)
+        if b is None:
+            b, c = ref.uniform(-10, 10), ref.uniform(-10, 10)
+        b1, c1, c1p = ref.uniform(-10, 10), ref.uniform(-10, 10), ref.uniform(-10, 10)
+        lam = c1p - c1 + delta + (0.0 if bit else ref.uniform(-10, 10))
+        assert rec["alice"] == {"b1": b1, "c1": c1, "c1p": c1p}
+        assert (rec["bob"]["b2"], rec["bob"]["c2"], rec["lambda"]) == (b - b1, c - c1, lam)
+    draws, gen = Draws(seed), np.random.default_rng(seed)
+    assert ([run_cv_round(bit, draws, b, c, delta) for bit, b, c, delta in cases] ==
+            [run_cv_round(bit, gen, b, c, delta) for bit, b, c, delta in cases])
