@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import os
 import sys
 
 import numpy as np
@@ -249,7 +250,16 @@ def _written(records, fh):
         yield rec
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths a and b name one file, existing or not."""
+    with contextlib.suppress(OSError):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def cmd_session(args) -> int:
+    if not args.no_transcript and _same_file(args.out, args.stats):
+        raise ValueError(f"--out and --stats name one file: {args.stats}")
     config = _session_config(args)
     # Both files are opened before the first round, so a bad path costs no
     # rounds; records are written and counted as they are made, none kept.

@@ -100,7 +100,7 @@ def find_irreducible(p: int, n: int) -> tuple[int, ...]:
 
 
 # Largest field size d = p^n a FieldSpec accepts: its digit tables then take
-# at most 4 MiB of int32 apiece, and a session's uniform cdf 8 MiB.
+# at most 4 MiB of int32 apiece, the only tables a session keeps.
 MAX_D = 2 ** 20
 
 

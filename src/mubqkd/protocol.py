@@ -25,13 +25,15 @@ the outcome of measuring one in a basis is certain in its own basis and
 uniform in any other (the bases are mutually unbiased).
 
 run_round reads a round plan that its config builds once, on first use
-(SessionConfig._plan): d, p, the digit tables of the field (or mod p at
-n = 1), a read-only uniform cdf of 8*d bytes and the config's values as a
-round uses them.  So a round costs its draws, each one call of the rng's
-bound random() or integers(); a few integer operations on canonical
-indices, a table lookup per chunk of digits at n >= 2; an O(1) check
-against the cdf for each uniform outcome; and one positional RoundRecord.
-The draws are the largest share.
+(SessionConfig._plan): d, p, the field (whose digit tables serve sums at
+n >= 2; sums are mod p at n = 1) and the config's values as a round uses
+them.  A uniform outcome is floor(m*d / 2**53) for the variate
+u = m * 2**-53 that random() returns, in integers, so each of the d
+outcomes takes floor or ceil of 2**53/d of the variates and no table is
+kept.  So a round costs its draws, each one call of the rng's bound
+random() or integers(); a few integer operations on canonical indices, a
+table lookup per chunk of digits at n >= 2; and one positional
+RoundRecord.  The draws are the largest share.
 
 run_round takes any rng with random() and integers(high).  A session
 passes a Draws, which yields the variates of numpy's Generator on
@@ -98,12 +100,12 @@ def _json_fields(doc: dict, kinds: dict, parent: str) -> dict:
 
 
 @contextmanager
-def _at(path: str):
-    """Prefix the message of a ValueError raised inside with path."""
+def _at(path: str, sep: str = ": "):
+    """Prefix the message of a ValueError raised inside with path and sep."""
     try:
         yield
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}{sep}{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -122,11 +124,11 @@ class EveStrategy:
         if self.fixed_basis is not None:
             object.__setattr__(self, "fixed_basis", _json_check(self.fixed_basis, int, "fixed_basis"))
         if self.kind not in _EVE_KINDS:
-            raise ValueError(f"unknown eavesdropper kind {self.kind!r}")
+            raise ValueError(f"kind: unknown eavesdropper kind {self.kind!r}")
         if self.picker not in _EVE_PICKERS:
-            raise ValueError(f"unknown basis picker {self.picker!r}")
+            raise ValueError(f"picker: unknown basis picker {self.picker!r}")
         if self.kind == "intercept_resend" and self.picker == "fixed" and self.fixed_basis is None:
-            raise ValueError("fixed picker needs a fixed_basis index")
+            raise ValueError("fixed_basis: the fixed picker needs a basis index")
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "picker": self.picker, "fixed_basis": self.fixed_basis}
@@ -135,22 +137,20 @@ class EveStrategy:
     def from_json(cls, cfg: dict) -> EveStrategy:
         """Strategy from the "eve" object of a session config document."""
         values = _json_fields(cfg, {"kind": str, "picker": str, "fixed_basis": int}, "eve")
-        with _at("eve"):
+        with _at("eve", "."):
             return cls(**values)
 
 
 @dataclass(frozen=True, slots=True)
 class _RoundPlan:
     """What every round of a session reads, worked out once from its config
-    (SessionConfig._plan): the field's size and tables, the uniform cdf, and
-    the config's values in the form a round uses them."""
+    (SessionConfig._plan): the field and its size, and the config's values
+    in the form a round uses them."""
 
+    field: FieldSpec
     d: int
     p: int
-    q: int                      # chunk size of the digit tables; 0 at n = 1, where sums are mod p
-    add: memoryview | None
-    sub: memoryview | None
-    cdf: memoryview             # the cdf sample_index builds for d equal probabilities, read-only
+    q: int                      # chunk size of field.digit_tables; 0 at n = 1, where sums are mod p
     pair: tuple[int, int] | None
     delta: int
     check_fraction: float
@@ -196,18 +196,19 @@ class SessionConfig:
                 object.__setattr__(self, "pair_label",
                                    tuple(self.field.from_index(k).index for k in label))
         if self.rounds < 1:
-            raise ValueError(f"rounds must be at least 1, got {self.rounds}")
+            raise ValueError(f"rounds: must be at least 1, got {self.rounds}")
         if not 0.0 <= self.check_fraction <= 1.0:
-            raise ValueError(f"check_fraction must lie in [0, 1], got {self.check_fraction}")
+            raise ValueError(f"check_fraction: must lie in [0, 1], got {self.check_fraction}")
         if self.mode not in _MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ValueError(f"mode: unknown mode {self.mode!r}")
         if self.swap_repetitions < 1:
-            raise ValueError("swap_repetitions must be at least 1")
+            raise ValueError(f"swap_repetitions: must be at least 1, got {self.swap_repetitions}")
         if self.seed < 0:
             raise ValueError(f"seed: expected a non-negative integer, got {self.seed}")
         if self.eve.kind == "intercept_resend" and self.eve.picker == "fixed":
             if not 0 <= self.eve.fixed_basis <= self.field.d:
-                raise ValueError(f"fixed eavesdropper basis index outside [0, {self.field.d}]")
+                raise ValueError(f"eve.fixed_basis: basis index {self.eve.fixed_basis} "
+                                 f"outside [0, {self.field.d}]")
 
     @cached_property
     def _plan(self) -> _RoundPlan:
@@ -215,20 +216,13 @@ class SessionConfig:
         part of equality, hashing, repr or to_json."""
         spec, eve = self.field, self.eve
         d = spec.d
-        q, add, sub = spec.digit_tables if spec.n > 1 else (0, None, None)
         return _RoundPlan(
-            d=d, p=spec.p, q=q, add=add, sub=sub,
-            cdf=memoryview(np.cumsum(np.full(d, 1.0 / d))).toreadonly(),
+            field=spec, d=d, p=spec.p, q=spec.digit_tables[0] if spec.n > 1 else 0,
             pair=self.pair_label, delta=self.delta_offset, check_fraction=self.check_fraction,
             eve=eve.kind == "intercept_resend",
             eve_basis=eve.fixed_basis if eve.picker == "fixed" else None,
             eve_high=d if eve.picker == "uniform_quadratic" else d + 1,
             swap=self.mode == "swap", reps=self.swap_repetitions)
-
-    def __getstate__(self) -> dict:
-        """The fields alone: a pickle or copy leaves the plan out, to be built
-        again on use (a memoryview cannot be pickled)."""
-        return {k: v for k, v in self.__dict__.items() if k != "_plan"}
 
     def to_json(self) -> dict:
         return {
@@ -325,6 +319,9 @@ _SEED_POOL = 4
 # round, whose other draws are a few tenths of a us each.
 _BLOCK_ROOT = 64
 _BLOCK_WORDS = _BLOCK_ROOT ** 2
+
+# random() returns m * 2**-53 for an integer m in [0, 2**53)
+_TWO53 = float(1 << 53)
 
 
 def _seed_state(seed: int) -> tuple[int, int]:
@@ -497,19 +494,6 @@ class Draws:
                 return m >> 32
 
 
-def _uniform_outcome(u: float, d: int, cdf) -> int:
-    """The outcome of d equally likely ones that sample_index draws for the
-    variate u in [0, 1): min(searchsorted(cdf, u, "right"), d - 1), guessed
-    as int(u*d) and corrected, since cdf[k] differs from (k+1)/d by rounding
-    only.  The guess needs no cap: u*d rounds to below d for every u < 1."""
-    k = int(u * d)
-    while k and cdf[k - 1] > u:
-        k -= 1
-    while k < d - 1 and cdf[k] <= u:
-        k += 1
-    return k
-
-
 def run_round(config: SessionConfig, round_index: int, rng) -> RoundRecord:
     """One round on MUB labels; the dense reference round of the tests makes
     the same draws and writes the same record.
@@ -531,12 +515,13 @@ def run_round(config: SessionConfig, round_index: int, rng) -> RoundRecord:
 
     # Alice's outcomes are uniform in every basis; Bob's particles collapse
     # to (b2, expected) = (b - b1, c - c1) and (b2, c2p) = (b - b1, c - delta - c1p).
+    # A uniform outcome is floor(m*d / 2**53) for the variate u = m * 2**-53:
+    # u * 2**53 is exact, so int(u * _TWO53) * d >> 53 is.
     b1 = int(integers(d))
-    cdf = plan.cdf
-    c1 = _uniform_outcome(random(), d, cdf)
-    c1p = _uniform_outcome(random(), d, cdf)
+    c1 = int(random() * _TWO53) * d >> 53
+    c1p = int(random() * _TWO53) * d >> 53
     if q:
-        sub = plan.sub
+        _, add, sub = plan.field.digit_tables
         b2 = chunkwise(q, sub, b, b1)
         expected = chunkwise(q, sub, c, c1)
         c2p = chunkwise(q, sub, chunkwise(q, sub, c, delta), c1p)
@@ -552,13 +537,13 @@ def run_round(config: SessionConfig, round_index: int, rng) -> RoundRecord:
             eve_basis = int(integers(plan.eve_high))
         u1, u2 = random(), random()
         if eve_basis != b2:
-            c2, c2p = _uniform_outcome(u1, d, cdf), _uniform_outcome(u2, d, cdf)
+            c2, c2p = int(u1 * _TWO53) * d >> 53, int(u2 * _TWO53) * d >> 53
         bob_basis, eve_outcome = eve_basis, [c2, c2p]
 
     # duty assigned only after transit
     if random() < plan.check_fraction:
         u = random()
-        measured = c2 if bob_basis == b2 else _uniform_outcome(u, d, cdf)
+        measured = c2 if bob_basis == b2 else int(u * _TWO53) * d >> 53
         return RoundRecord(round_index, "check", None, None, b1, c1, c1p, eve_basis,
                            eve_outcome, None, b2, expected, measured, measured == expected)
 
@@ -567,8 +552,7 @@ def run_round(config: SessionConfig, round_index: int, rng) -> RoundRecord:
     # shift moves no computational-basis state).
     bit = int(integers(2))
     if q:
-        add = plan.add
-        match = chunkwise(q, add, chunkwise(q, plan.sub, c1p, c1), delta)
+        match = chunkwise(q, add, chunkwise(q, sub, c1p, c1), delta)
     else:
         match = (c1p - c1 + delta) % plan.p
     lam = match

@@ -69,17 +69,16 @@ def test_session_rejects_oversize_dimension(tmp_path, capsys, monkeypatch, argv,
     assert capsys.readouterr().err == f"error: field: d = {d} exceeds the field limit 1048576\n"
 
 
-def test_session_tables_fit_in_16_d_bytes():
-    """The uniform cdf and both digit tables of the largest field of each
-    degree that session accepts take at most 16 * d bytes."""
+def test_session_digit_tables_fit_in_8_d_bytes():
+    """Both digit tables that a session reads for the largest field of each
+    degree that session accepts take at most 8 * d bytes."""
     limit = gf.MAX_D
     for n in range(1, int(math.log(limit, 3)) + 1):
         p = next(p for p in range(int(limit ** (1 / n)) + 1, 2, -1)
                  if p % 2 and gf.is_prime(p) and p ** n <= limit)
-        spec = gf.FieldSpec(p, n)
+        spec = SessionConfig(field=gf.FieldSpec(p, n), rounds=1)._plan.field
         tables = spec.digit_tables[1:] if n > 1 else ()
-        cdf = SessionConfig(field=spec, rounds=1)._plan.cdf
-        assert cdf.nbytes + sum(t.nbytes for t in tables) <= 16 * spec.d
+        assert sum(t.nbytes for t in tables) <= 8 * spec.d
 
 
 def test_verify_rejects_no_samples(capsys):
@@ -259,6 +258,22 @@ def test_session_opens_stats_before_the_first_round(tmp_path, capsys, monkeypatc
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("stats", ["same.json", "./same.json", "link.json"],
+                         ids=["same", "dot-slash", "hard-link"])
+def test_session_refuses_one_file_for_out_and_stats(tmp_path, capsys, monkeypatch, stats):
+    def no_round(*args):
+        raise AssertionError("a round ran")
+
+    (tmp_path / "same.json").write_text("kept\n")
+    (tmp_path / "link.json").hardlink_to(tmp_path / "same.json")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(protocol, "run_round", no_round)
+    assert main(["session", "--p", "7", "--rounds", "50", "--out", "same.json",
+                 "--stats", stats]) == 2
+    assert capsys.readouterr().err == f"error: --out and --stats name one file: {stats}\n"
+    assert (tmp_path / "same.json").read_text() == "kept\n"
+
+
 def test_session_clean_run(tmp_path, capsys):
     out = tmp_path / "transcript.jsonl"
     stats = tmp_path / "stats.json"
@@ -433,6 +448,18 @@ def test_session_negative_seed_flag(tmp_path, capsys):
     ({"field": {"p": 3}, "rounds": 5, "pair_label": [-1, 0]}, "pair_label"),
     ({"field": {"p": 3}, "rounds": 5, "delta_offset": 3}, "delta_offset"),
     ({"field": {"p": 3}, "rounds": 5, "delta_offset": -1}, "delta_offset"),
+    ({"field": {"p": 3}, "rounds": 0}, "rounds"),
+    ({"field": {"p": 3}, "rounds": 5, "check_fraction": 2.0}, "check_fraction"),
+    ({"field": {"p": 3}, "rounds": 5, "mode": "guess"}, "mode"),
+    ({"field": {"p": 3}, "rounds": 5, "swap_repetitions": 0}, "swap_repetitions"),
+    ({"field": {"p": 3}, "rounds": 5, "eve": {"kind": "x"}}, "eve.kind"),
+    ({"field": {"p": 3}, "rounds": 5, "eve": {"kind": "intercept_resend", "picker": "x"}},
+     "eve.picker"),
+    ({"field": {"p": 3}, "rounds": 5, "eve": {"kind": "intercept_resend", "picker": "fixed"}},
+     "eve.fixed_basis"),
+    ({"field": {"p": 3}, "rounds": 1,
+      "eve": {"kind": "intercept_resend", "picker": "fixed", "fixed_basis": 99}},
+     "eve.fixed_basis"),
 ])
 def test_session_bad_config_is_a_config_error(tmp_path, capsys, doc, path):
     cfg_path = tmp_path / "session.json"
@@ -456,9 +483,9 @@ def test_session_deeply_nested_config_is_a_config_error(tmp_path, capsys):
     ('{"field": {"p": ' + "[" * 500 + "]" * 500 + '}, "rounds": 5}',
      "error: field: p: expected an integer, got [[["),
     (json.dumps({"field": {"p": 3}, "rounds": 5, "mode": "x" * 100_000}),
-     "error: unknown mode 'xxx"),
+     "error: mode: unknown mode 'xxx"),
     (json.dumps({"field": {"p": 3}, "rounds": 5, "eve": {"kind": "x" * 100_000}}),
-     "error: eve: unknown eavesdropper kind 'xxx"),
+     "error: eve.kind: unknown eavesdropper kind 'xxx"),
     (json.dumps({"field": {"p": 3, "modulus": "x" * 100_000}, "rounds": 5}),
      "error: field: modulus: expected a sequence, got 'xxx"),
     (json.dumps({"field": {"p": 3, "modulus": [0] * 100_000}, "rounds": 5}),

@@ -19,7 +19,7 @@ from mubqkd.mub import basis_matrix, mub_state
 from mubqkd.entangle import entangled_mub, measure_first
 from mubqkd.phasespace import run_cv_round
 from mubqkd.protocol import (_BLOCK_WORDS, Draws, EveStrategy, RoundRecord, SessionConfig,
-                             _seed_state, _uniform_outcome, eavesdropper_detected,
+                             _seed_state, eavesdropper_detected,
                              run_round, session_records, session_summary, summarize)
 
 from dense_round import _alice_encode, _bob_decode
@@ -258,25 +258,27 @@ def test_jsonl_encoder_matches_json_dumps():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^rounds: "):
         SessionConfig(field=GF3, rounds=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^check_fraction: "):
         SessionConfig(field=GF3, rounds=1, check_fraction=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^mode: "):
         SessionConfig(field=GF3, rounds=1, mode="guess")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^swap_repetitions: "):
         SessionConfig(field=GF3, rounds=1, swap_repetitions=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^delta_offset: "):
         SessionConfig(field=GF3, rounds=1, delta_offset=3)
     with pytest.raises(ValueError, match="^seed: "):
         SessionConfig(field=GF3, rounds=1, seed=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^eve\.fixed_basis: "):
         SessionConfig(field=GF3, rounds=1,
                       eve=EveStrategy("intercept_resend", "fixed", 9))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^fixed_basis: "):
         EveStrategy("intercept_resend", "fixed")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^kind: "):
         EveStrategy("someone")
+    with pytest.raises(ValueError, match="^picker: "):
+        EveStrategy("intercept_resend", "someone")
 
 
 @pytest.mark.parametrize("build, field", [
@@ -331,7 +333,6 @@ def test_round_plan_is_no_part_of_the_config():
     twin = SessionConfig.from_json(cfg.to_json())
     assert cfg == twin and hash(cfg) == hash(twin)
     assert "_plan" not in {f.name for f in dataclasses.fields(cfg)} and "plan" not in repr(cfg)
-    assert np.array_equal(plan.cdf, np.cumsum(np.full(9, 1 / 9))) and plan.cdf.readonly
 
 
 @pytest.mark.parametrize("spec", [GF7, FieldSpec(3, 2)], ids=["d7", "d9"])
@@ -454,14 +455,48 @@ def test_verify_never_imports_numpy_random():
                    env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.DEVNULL)
 
 
-@pytest.mark.parametrize("d", [3, 7, 243, 3 ** 10])
-def test_uniform_outcome_matches_searchsorted(d):
+class _ScriptedRng:
+    """An rng whose random() returns the given variates in turn and whose
+    integers(high) returns 0."""
+
+    def __init__(self, variates):
+        self._variates = iter(variates)
+
+    def random(self):
+        return next(self._variates)
+
+    def integers(self, high):
+        return 0
+
+
+@pytest.mark.parametrize("spec", [GF3, GF7, FieldSpec(3, 5), FieldSpec(3, 10),
+                                  FieldSpec(1_048_573, 1)], ids=lambda spec: str(spec.d))
+def test_uniform_outcome_is_floor_of_m_d_over_2_53(spec):
+    """A uniform outcome of run_round is floor(m*d / 2**53) for the variate
+    u = m * 2**-53, so outcome k starts at m = ceil(k * 2**53 / d).  Checked
+    at m = 0, m = 2**53 - 1 and both sides of sampled starts, among them the
+    first start that searching numpy's cumsum of d copies of 1/d moves."""
+    d, two53 = spec.d, 1 << 53
+    ks = np.arange(1, d)
+    start = ks * (two53 // d) + (ks * (two53 % d) + d - 1) // d     # ceil(k * 2**53 / d)
     cdf = np.cumsum(np.full(d, 1.0 / d))
-    us = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), [0.0],
-                         np.random.default_rng(d).random(2000)])
-    us = us[us < 1.0]
-    expect = np.minimum(cdf.searchsorted(us, side="right"), d - 1)
-    assert [_uniform_outcome(u, d, memoryview(cdf)) for u in us.tolist()] == expect.tolist()
+    cdf_start = np.ceil(cdf[:-1] * two53).astype(np.int64)
+    moved = int(np.flatnonzero(start != cdf_start)[0])
+    sampled = {0, d - 2, moved, *np.random.default_rng(d).integers(0, d - 1, 4).tolist()}
+    cases = [(0, 0), (two53 - 1, d - 1)]
+    for i in sorted(sampled):
+        cases += [(int(start[i]) - 1, i), (int(start[i]), i + 1)]
+    us = [m / two53 for m, _ in cases]
+    expected = [k for _, k in cases]
+    assert (np.minimum(cdf.searchsorted(us, side="right"), d - 1) != expected).any()
+
+    cfg = SessionConfig(field=spec, rounds=1, check_fraction=0.0, pair_label=(0, 0))
+    outcomes = []
+    for i in range(0, len(us), 2):
+        record = run_round(cfg, 0, _ScriptedRng([us[i], us[i + 1], 0.5]))
+        assert record.kind == "message"
+        outcomes += [record.c1, record.c1p]
+    assert outcomes == expected
 
 
 # ---------------------------------------------------------------------------
