@@ -2,7 +2,8 @@
 and protocol sessions with persisted transcripts.
 
 Exit codes: 0 success, 1 invariant failure, 2 usage or config error,
-3 eavesdropper detected.
+3 eavesdropper detected, 141 (128 + SIGPIPE) stdout closed by its reader,
+with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import contextlib
 import itertools
 import json
 import os
+import stat
 import sys
 
 import numpy as np
@@ -250,22 +252,28 @@ def _written(records, fh):
         yield rec
 
 
-def _same_file(a: str, b: str) -> bool:
-    """Whether paths a and b name one file, existing or not."""
+def _shared_file(a: str, b: str) -> bool:
+    """Whether paths a and b name one regular file, or one path that does
+    not exist yet: a file that writing both would clobber."""
     with contextlib.suppress(OSError):
-        return os.path.samefile(a, b)
+        return os.path.samefile(a, b) and os.path.isfile(a)
     return os.path.realpath(a) == os.path.realpath(b)
 
 
 def cmd_session(args) -> int:
-    if not args.no_transcript and _same_file(args.out, args.stats):
+    if not args.no_transcript and _shared_file(args.out, args.stats):
         raise ValueError(f"--out and --stats name one file: {args.stats}")
     config = _session_config(args)
     # Both files are opened before the first round, so a bad path costs no
-    # rounds; records are written and counted as they are made, none kept.
+    # rounds; they are opened without truncating and truncated (regular files
+    # only) once both are open, so a refused one leaves the other as it was.
+    # Records are written and counted as they are made, none kept.
     records = session_records(config)
-    with (contextlib.nullcontext() if args.no_transcript else open(args.out, "w")) as out, \
-            open(args.stats, "w") as stats:
+    with (contextlib.nullcontext() if args.no_transcript else open(args.out, "a")) as out, \
+            open(args.stats, "a") as stats:
+        for fh in (out, stats):
+            if fh is not None and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(0)
         s = session_summary(config, records if out is None else _written(records, out))
         stats.write(json.dumps(s, indent=2) + "\n")
 
@@ -369,7 +377,16 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = _build_parser(command).parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # a closed pipe shows here, not in the exit-time flush
+        return code
+    except BrokenPipeError:
+        # a pipe's reader is gone (head, say), which exits as SIGPIPE would;
+        # fd 1 goes to devnull, so the interpreter's final flush stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, OSError) as exc:
         msg = str(exc)
         if len(msg) > MAX_ERROR_CHARS:

@@ -39,9 +39,9 @@ run_round takes any rng with random() and integers(high).  A session
 passes a Draws, which yields the variates of numpy's Generator on
 PCG64(seed) draw for draw, at a fraction of numpy's cost per call.  It
 computes the words of numpy's PCG64 stream itself, seeding as numpy's
-SeedSequence does and stepping the 128-bit state through a table of jumps,
-a block of words at a time in numpy arrays, so a session never imports
-numpy's random module.
+SeedSequence does and stepping a block of 128-bit states at a time in numpy
+arrays, each block the last one stepped by one map, so a session never
+imports numpy's random module.
 """
 
 from __future__ import annotations
@@ -310,13 +310,18 @@ _SEED_INIT_B, _SEED_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SEED_MIX_L, _SEED_MIX_R = 0xCA01F9DD, 0x4973F715
 _SEED_POOL = 4
 
-# Raw words per refill of Draws, the square of _BLOCK_ROOT.  A refill is
-# some 25 array operations of this length and a tolist, about 0.25 ms.  A
-# round of either benchmark session takes about 8 words (7.6 in a d = 7
-# swap session, 7.9 in a d = 243 one with an eavesdropper), so a block
-# lasts some 500 rounds and under 1% of rounds pay for a refill.  Spread
-# over those rounds a refill costs about 0.5 us a round, a tenth of a d = 7
-# round, whose other draws are a few tenths of a us each.
+# Raw words per refill of Draws, the square of _BLOCK_ROOT.  Draws(seed)
+# steps the seed state _BLOCK_ROOT times with Python ints, then doubles
+# these states to a block in six products of the map with 64 to 2048
+# states; doubling from one state would take twelve, half of them on fewer
+# than 64 states, where a product costs little but its array calls.  A
+# refill is some 30 array operations of _BLOCK_WORDS states and a tolist,
+# about 0.15-0.25 ms.  A round of either benchmark session takes about 8
+# words (7.6 in a d = 7 swap session, 7.9 in a d = 243 one with an
+# eavesdropper), so a block lasts some 500 rounds and under 1% of rounds
+# pay for a refill.  Spread over those rounds a refill costs about 0.5 us
+# a round, a tenth of a d = 7 round, whose other draws are a few tenths of
+# a us each.
 _BLOCK_ROOT = 64
 _BLOCK_WORDS = _BLOCK_ROOT ** 2
 
@@ -375,10 +380,11 @@ def _seed_state(seed: int) -> tuple[int, int]:
     return ((inc + initstate) * _PCG_MULT + inc) & _MASK128, inc
 
 
-def _affine(a_hi, a_lo, c_hi, c_lo, x_hi, x_lo):
-    """uint64 halves (hi, lo) of a*x + c mod 2**128, elementwise (broadcast)
-    over the uint64 halves of a, c and x; a half may be a Python int.  The
-    high half of the low 64x64 product comes from 32-bit partial products."""
+def _affine(a: int, c: int, x_hi, x_lo):
+    """uint64 halves (hi, lo) of a*x + c mod 2**128 for 128-bit ints a and c,
+    elementwise over the uint64 halves of x.  The high half of the low 64x64
+    product comes from 32-bit partial products."""
+    a_hi, a_lo, c_hi, c_lo = a >> 64, a & _MASK64, c >> 64, c & _MASK64
     x1, x0 = x_lo >> 32, x_lo & _MASK32
     a1, a0 = a_lo >> 32, a_lo & _MASK32
     p01, p10 = a0 * x1, a1 * x0
@@ -388,38 +394,12 @@ def _affine(a_hi, a_lo, c_hi, c_lo, x_hi, x_lo):
     return hi + c_hi + (lo < c_lo), lo
 
 
-def _steps(a: int, c: int, n: int) -> list[tuple[int, int]]:
-    """(A_j, C_j) for j = 0..n-1: the map s -> a*s + c mod 2**128 applied j
-    times is s -> A_j*s + C_j."""
-    out = [(1, 0)]
-    for _ in range(n - 1):
-        x, y = out[-1]
-        out.append((a * x & _MASK128, (a * y + c) & _MASK128))
-    return out
-
-
-def _halves(values: tuple[int, ...], shape: tuple[int, int]):
-    """The high and low uint64 halves of 128-bit ints, as arrays of shape."""
-    return (np.array([v >> 64 for v in values], np.uint64).reshape(shape),
-            np.array([v & _MASK64 for v in values], np.uint64).reshape(shape))
-
-
-def _jumps(inc: int):
-    """Halves (A_hi, A_lo, C_hi, C_lo) of the maps s -> A_j*s + C_j that step
-    the PCG64 state j = 1.._BLOCK_WORDS times, and (A, C) of _BLOCK_WORDS
-    steps as ints.
-
-    With R = _BLOCK_ROOT and j = R*q + r (q = 0..R-1, r = 1..R),
-    A_j = A_r*A_{Rq} and C_j = A_r*C_{Rq} + C_r: two tables of R maps, as
-    Python ints, combined in one broadcast product."""
-    row, col = (1, _BLOCK_ROOT), (_BLOCK_ROOT, 1)
-    fine_a, fine_c = zip(*_steps(_PCG_MULT, inc, _BLOCK_ROOT + 1)[1:])
-    coarse = _steps(fine_a[-1], fine_c[-1], _BLOCK_ROOT + 1)
-    coarse_a, coarse_c = zip(*coarse[:-1])
-    a = _halves(fine_a, row)
-    jump = (*_affine(*a, 0, 0, *_halves(coarse_a, col)),
-            *_affine(*a, *_halves(fine_c, row), *_halves(coarse_c, col)))
-    return tuple(h.ravel() for h in jump), coarse[-1]
+def _xsl_rr(hi, lo) -> list[int]:
+    """PCG64's XSL-RR output, rotr64(hi ^ lo, hi >> 58), of the states with
+    uint64 halves hi and lo, as a list in reverse order."""
+    x = hi ^ lo
+    rot = hi >> 58
+    return ((x >> rot) | (x << ((64 - rot) & 63)))[::-1].tolist()
 
 
 class Draws:
@@ -427,11 +407,15 @@ class Draws:
     its calls random() and integers(high), without numpy's cost per call and
     without importing numpy's random module.
 
-    The words are those of numpy's PCG64 stream, random_raw, computed here:
-    _seed_state seeds the state as numpy does, and each block of
-    _BLOCK_WORDS words steps it 1.._BLOCK_WORDS times at once through the
-    jump table of _jumps, applying PCG64's XSL-RR output, rotr64(hi ^ lo,
-    hi >> 58), to every stepped state.  The first block is built here.
+    The words are those of numpy's PCG64 stream, random_raw, computed here.
+    Draws holds the current block's _BLOCK_WORDS stepped states, as uint64
+    halves, and one map s -> a*s + c of _BLOCK_WORDS steps: a block's words
+    are the XSL-RR output of its states, and the next block's states are
+    these stepped by the map.  The first block is built here: _seed_state
+    seeds the state as numpy does, _BLOCK_ROOT steps with Python ints give
+    the first states and their map, and each doubling appends the states so
+    far stepped by the map, then squares the map.
+
     random() is numpy's next_double, (w >> 11) * 2**-53.  integers(high) is
     numpy's bounded 32-bit draw (Lemire, arXiv:1805.10941): x * high for a
     32-bit x, drawn again while the low 32 bits of the product fall below
@@ -446,20 +430,29 @@ class Draws:
     """
 
     def __init__(self, seed: int):
-        self._state, inc = _seed_state(seed)
-        self._jump, self._step = _jumps(inc)
-        self._words = self._block()   # the block's unused words, next one last
+        s, inc = _seed_state(seed)
+        a, c, states = 1, 0, []
+        for _ in range(_BLOCK_ROOT):
+            s = (s * _PCG_MULT + inc) & _MASK128
+            a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + inc) & _MASK128
+            states.append(s)
+        hi, lo = np.empty((2, _BLOCK_WORDS), np.uint64)
+        hi[:_BLOCK_ROOT] = [v >> 64 for v in states]
+        lo[:_BLOCK_ROOT] = [v & _MASK64 for v in states]
+        n = _BLOCK_ROOT
+        while n < _BLOCK_WORDS:
+            hi[n:2 * n], lo[n:2 * n] = _affine(a, c, hi[:n], lo[:n])
+            a, c = a * a & _MASK128, (a * c + c) & _MASK128
+            n *= 2
+        self._hi, self._lo, self._map = hi, lo, (a, c)
+        self._words = _xsl_rr(hi, lo)   # the block's unused words, next one last
         self._half: int | None = None
 
     def _block(self) -> list[int]:
-        """The next _BLOCK_WORDS words of the stream, next one last."""
-        s = self._state
-        hi, lo = _affine(*self._jump, s >> 64, s & _MASK64)
-        a, c = self._step
-        self._state = (a * s + c) & _MASK128
-        x = hi ^ lo
-        rot = hi >> 58
-        return ((x >> rot) | (x << ((64 - rot) & 63)))[::-1].tolist()
+        """The next _BLOCK_WORDS words of the stream, next one last: the held
+        states stepped by the map."""
+        self._hi, self._lo = _affine(*self._map, self._hi, self._lo)
+        return _xsl_rr(self._hi, self._lo)
 
     def _refill(self) -> int:
         """The first word of a fresh block."""
@@ -496,7 +489,10 @@ class Draws:
 
 def run_round(config: SessionConfig, round_index: int, rng) -> RoundRecord:
     """One round on MUB labels; the dense reference round of the tests makes
-    the same draws and writes the same record.
+    the same draws in the same order and writes the same record, except at a
+    variate within rounding of an outcome boundary, where its float cumsum
+    and the exact floor(m*d / 2**53) below may differ (the differential
+    tests' seeds never draw one).
 
     A measurement of the state labeled (basis, c) is certain in its own
     basis and uniform in every other, one variate either way, as born_sample

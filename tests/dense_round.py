@@ -1,8 +1,11 @@
 """The dense reference round: the round of mubqkd.protocol.run_round played on
-dense state vectors.  Both draw the same variates in the same order, so they
-write the same records; the dense round is the physics reference that the
-label round is tested against.  Pytest does not collect this module;
-test_engine and test_protocol import it.
+dense state vectors.  Both draw the same variates in the same order and write
+the same records, except at a variate within rounding of an outcome
+boundary: run_round maps the variate m * 2**-53 of a uniform outcome to
+floor(m*d / 2**53) exactly, while born_sample searches a float cumsum.  The
+differential tests' seeds never draw such a variate.  The dense round is the
+physics reference that the label round is tested against.  Pytest does not
+collect this module; test_engine and test_protocol import it.
 """
 
 import numpy as np

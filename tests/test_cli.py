@@ -4,7 +4,9 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import mubqkd
 from mubqkd import cli, gf, protocol
 from mubqkd.cli import main
 from mubqkd.mub import basis_matrix
@@ -272,6 +275,36 @@ def test_session_refuses_one_file_for_out_and_stats(tmp_path, capsys, monkeypatc
                  "--stats", stats]) == 2
     assert capsys.readouterr().err == f"error: --out and --stats name one file: {stats}\n"
     assert (tmp_path / "same.json").read_text() == "kept\n"
+
+
+def test_session_allows_devnull_for_out_and_stats(capsys):
+    assert main(["session", "--p", "3", "--rounds", "5", "--out", os.devnull,
+                 "--stats", os.devnull]) == 0
+
+
+@pytest.mark.parametrize("kept", ["out", "stats"])
+def test_refused_session_truncates_nothing(tmp_path, capsys, kept):
+    keep = tmp_path / "keep.txt"
+    keep.write_bytes(b"kept\n")
+    paths = {"out": str(tmp_path / "missing" / "t.jsonl"),
+             "stats": str(tmp_path / "missing" / "s.json"), kept: str(keep)}
+    assert main(["session", "--p", "3", "--rounds", "5", "--out", paths["out"],
+                 "--stats", paths["stats"]]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert keep.read_bytes() == b"kept\n"
+
+
+def test_closed_stdout_pipe_exits_141_silently():
+    # bases at d = 27 writes about 0.9 MB, more than a pipe buffer holds
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mubqkd.__file__))}
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "mubqkd.cli", "bases", "--p", "3", "--n", "3"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"basis,b_index,c_index,n_index,re,im\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 def test_session_clean_run(tmp_path, capsys):
