@@ -222,8 +222,11 @@ def _session_doc(args):
                  if getattr(args, name) is not None]
         if given:
             raise ValueError(f"--config cannot be combined with {', '.join(given)}")
-        with open(args.config) as fh:
-            return json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                return json.load(fh)
+        except ValueError as exc:   # not UTF-8, or not JSON
+            raise ValueError(f"--config: {exc}") from None
     if args.p is None or args.rounds is None:
         raise ValueError("session needs --p and --rounds (or --config)")
     if (args.b is None) != (args.c is None):
@@ -260,21 +263,55 @@ def _shared_file(a: str, b: str) -> bool:
     return os.path.realpath(a) == os.path.realpath(b)
 
 
+def _is_stdout(path: str) -> bool:
+    """Whether path names the regular file that stdout writes to, which
+    writing both would clobber.  A stdout without a file descriptor (a
+    StringIO, pytest's capture) names no file."""
+    with contextlib.suppress(AttributeError, OSError, ValueError):
+        fd_stat = os.fstat(sys.stdout.fileno())
+        return stat.S_ISREG(fd_stat.st_mode) and os.path.samestat(fd_stat, os.stat(path))
+    return False
+
+
+@contextlib.contextmanager
+def _opened(paths):
+    """The files at paths, opened to append, then truncated (regular files
+    only) once all are open.  If one cannot be opened, none is truncated and
+    the ones this call created are removed: every file stays as it was."""
+    with contextlib.ExitStack() as stack:
+        files, created = [], []
+        try:
+            for path in paths:
+                new = not os.path.lexists(path)
+                files.append(stack.enter_context(open(path, "a")))
+                if new:
+                    created.append(path)
+        except OSError:
+            stack.close()
+            for path in created:
+                os.remove(path)
+            raise
+        for fh in files:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(0)
+        yield files
+
+
 def cmd_session(args) -> int:
-    if not args.no_transcript and _shared_file(args.out, args.stats):
+    paths = {"--out": args.out, "--stats": args.stats}
+    if args.no_transcript:
+        del paths["--out"]
+    elif _shared_file(args.out, args.stats):
         raise ValueError(f"--out and --stats name one file: {args.stats}")
+    for flag, path in paths.items():
+        if _is_stdout(path):
+            raise ValueError(f"{flag} names the file that stdout writes to: {path}")
     config = _session_config(args)
     # Both files are opened before the first round, so a bad path costs no
-    # rounds; they are opened without truncating and truncated (regular files
-    # only) once both are open, so a refused one leaves the other as it was.
-    # Records are written and counted as they are made, none kept.
+    # rounds.  Records are written and counted as they are made, none kept.
     records = session_records(config)
-    with (contextlib.nullcontext() if args.no_transcript else open(args.out, "a")) as out, \
-            open(args.stats, "a") as stats:
-        for fh in (out, stats):
-            if fh is not None and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate(0)
-        s = session_summary(config, records if out is None else _written(records, out))
+    with _opened(paths.values()) as (*out, stats):
+        s = session_summary(config, _written(records, out[0]) if out else records)
         stats.write(json.dumps(s, indent=2) + "\n")
 
     def fmt(x):

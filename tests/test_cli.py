@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import mubqkd
 from mubqkd import cli, gf, protocol
 from mubqkd.cli import main
+from mubqkd.entangle import joint_c_measure
 from mubqkd.mub import basis_matrix
 from mubqkd.protocol import SessionConfig, session_records, session_summary
 
@@ -34,6 +35,17 @@ def test_verify_extension_field(capsys):
     assert main(["verify", "--p", "3", "--n", "2"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["d"] == 9 and report["basis_count"] == 10 and report["ok"]
+
+
+def test_verify_exits_1_when_an_invariant_fails(capsys, monkeypatch):
+    def wrong_outcome(spec, state, b, rng):
+        outcome, post = joint_c_measure(spec, state, b, rng)
+        return (outcome + 1) % spec.d, post
+
+    monkeypatch.setattr(cli, "joint_c_measure", wrong_outcome)
+    assert main(["verify", "--p", "3"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False and report["joint_measure_repeatable"] is False
 
 
 def test_verify_rejects_composite_p(capsys):
@@ -282,16 +294,44 @@ def test_session_allows_devnull_for_out_and_stats(capsys):
                  "--stats", os.devnull]) == 0
 
 
-@pytest.mark.parametrize("kept", ["out", "stats"])
-def test_refused_session_truncates_nothing(tmp_path, capsys, kept):
+@pytest.mark.parametrize("kept, before", [("out", b"kept\n"), ("stats", b"kept\n"), ("out", None)],
+                         ids=["out", "stats", "new-out"])
+def test_refused_session_truncates_nothing(tmp_path, capsys, kept, before):
+    """A refused path leaves the other file as it was: its bytes, or no file
+    where there was none."""
     keep = tmp_path / "keep.txt"
-    keep.write_bytes(b"kept\n")
+    if before is not None:
+        keep.write_bytes(before)
     paths = {"out": str(tmp_path / "missing" / "t.jsonl"),
              "stats": str(tmp_path / "missing" / "s.json"), kept: str(keep)}
     assert main(["session", "--p", "3", "--rounds", "5", "--out", paths["out"],
                  "--stats", paths["stats"]]) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    assert keep.read_bytes() == b"kept\n"
+    assert (keep.read_bytes() if keep.exists() else None) == before
+
+
+@pytest.mark.parametrize("flag", ["--out", "--stats"])
+def test_session_refuses_the_file_stdout_writes_to(tmp_path, flag):
+    """A session whose --out or --stats is the regular file that stdout is
+    redirected to would write over its own records or summary; a pipe is
+    fine."""
+    paths = {"--out": "t.jsonl", "--stats": "s.json", flag: "/dev/stdout"}
+    argv = [sys.executable, "-m", "mubqkd.cli", "session", "--p", "7", "--rounds", "3",
+            "--out", paths["--out"], "--stats", paths["--stats"]]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mubqkd.__file__))}
+    with open(tmp_path / "o.txt", "w") as stdout:
+        proc = subprocess.run(argv, cwd=tmp_path, env=env, stdout=stdout, stderr=subprocess.PIPE,
+                              timeout=60)
+    assert (proc.returncode, proc.stderr) == (
+        2, f"error: {flag} names the file that stdout writes to: /dev/stdout\n".encode())
+    assert os.listdir(tmp_path) == ["o.txt"] and (tmp_path / "o.txt").read_bytes() == b""
+    piped = subprocess.run(argv, cwd=tmp_path, env=env, stdout=subprocess.PIPE, timeout=60)
+    *written, line = piped.stdout.decode().splitlines(keepends=True)
+    assert piped.returncode == 0 and line.startswith("session d=7 rounds=3 ")
+    if flag == "--out":
+        assert [json.loads(rec)["round"] for rec in written] == [0, 1, 2]
+    else:
+        assert json.loads("".join(written))["rounds"] == 3
 
 
 def test_closed_stdout_pipe_exits_141_silently():
@@ -493,10 +533,14 @@ def test_session_negative_seed_flag(tmp_path, capsys):
     ({"field": {"p": 3}, "rounds": 1,
       "eve": {"kind": "intercept_resend", "picker": "fixed", "fixed_basis": 99}},
      "eve.fixed_basis"),
+    # a file that is not UTF-8, or not JSON
+    (b"\xff\xfe", "--config"),
+    (b"{x", "--config"),
+    (b"[", "--config"),
 ])
 def test_session_bad_config_is_a_config_error(tmp_path, capsys, doc, path):
     cfg_path = tmp_path / "session.json"
-    cfg_path.write_text(json.dumps(doc))
+    cfg_path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     code = main(["session", "--config", str(cfg_path),
                  "--out", str(tmp_path / "t.jsonl"), "--stats", str(tmp_path / "s.json")])
     assert code == 2

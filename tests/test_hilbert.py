@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mubqkd.gf import FieldSpec
-from mubqkd.hilbert import (apply_diag_phase, basis_state, born_sample, inner,
+from mubqkd.hilbert import (apply_diag_phase, as_state, basis_state, born_sample, inner,
                             project_first, swap_test, tensor)
 from mubqkd.mub import basis_matrix, mub_state
-from mubqkd.entangle import entangled_mub
+from mubqkd.entangle import entangled_mub, joint_c_measure
+from mubqkd.phasespace import dwigner2_support
 
 GF3 = FieldSpec(3, 1)
 OMEGA = np.exp(2j * np.pi / 3)
@@ -201,3 +202,20 @@ def test_swap_test_rejects_unnormalized():
     rng = np.random.default_rng(8)
     with pytest.raises(ValueError):
         swap_test(2.0 * basis_state(2, 0), basis_state(2, 1), rng)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda rng: as_state(np.eye(3)), "state must be a 1-d amplitude vector"),
+    (lambda rng: born_sample(basis_state(3, 0), np.eye(2), rng), "basis must be d=3"),
+    (lambda rng: apply_diag_phase(basis_state(3, 0), np.ones(2)), "phase vector must match"),
+    (lambda rng: swap_test(basis_state(3, 0), basis_state(2, 0), rng),
+     "swap test needs equal dimensions"),
+    (lambda rng: joint_c_measure(GF3, basis_state(3, 0), 0, rng), r"state has shape \(3,\)"),
+    (lambda rng: dwigner2_support(basis_state(5, 0)), "must have a square dimension"),
+    (lambda rng: GF3.from_index(2) ** -1, "negative exponents"),
+], ids=["as_state-ndim", "born_sample-basis-shape", "apply_diag_phase-shape",
+        "swap_test-dims", "joint_c_measure-shape", "dwigner2_support-non-square",
+        "GfElem-pow-negative"])
+def test_malformed_input_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(np.random.default_rng(0))
