@@ -46,6 +46,14 @@ def _flag_int(flag: str, what: str, text: str) -> int:
         raise ValueError(f"{flag}: {what} must be an integer, got {text!r}") from None
 
 
+def _open(flag: str, path: str, mode: str = "r", **kwargs):
+    """open(path, mode, **kwargs); an OSError's message starts with flag."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise OSError(f"{flag}: {exc}") from None
+
+
 def _field_config(args) -> dict:
     """The "field" object of a config document, from --p, --n and --modulus."""
     modulus = (None if args.modulus is None else
@@ -151,7 +159,7 @@ def cmd_verify(args) -> int:
 
 def _emit(header: str, rows, path):
     """Write the header, then each row as it arrives, to path or stdout."""
-    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+    with _open("--out", path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(row + "\n")
@@ -223,7 +231,7 @@ def _session_doc(args):
         if given:
             raise ValueError(f"--config cannot be combined with {', '.join(given)}")
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with _open("--config", args.config, encoding="utf-8") as fh:
                 return json.load(fh)
         except ValueError as exc:   # not UTF-8, or not JSON
             raise ValueError(f"--config: {exc}") from None
@@ -275,15 +283,16 @@ def _is_stdout(path: str) -> bool:
 
 @contextlib.contextmanager
 def _opened(paths):
-    """The files at paths, opened to append, then truncated (regular files
-    only) once all are open.  If one cannot be opened, none is truncated and
-    the ones this call created are removed: every file stays as it was."""
+    """The files at paths, a dict of flag to path, opened to append, then
+    truncated (regular files only) once all are open.  If one cannot be
+    opened, none is truncated, the ones this call created are removed, and
+    the error names the path's flag: every file stays as it was."""
     with contextlib.ExitStack() as stack:
         files, created = [], []
         try:
-            for path in paths:
+            for flag, path in paths.items():
                 new = not os.path.lexists(path)
-                files.append(stack.enter_context(open(path, "a")))
+                files.append(stack.enter_context(_open(flag, path, "a")))
                 if new:
                     created.append(path)
         except OSError:
@@ -310,7 +319,7 @@ def cmd_session(args) -> int:
     # Both files are opened before the first round, so a bad path costs no
     # rounds.  Records are written and counted as they are made, none kept.
     records = session_records(config)
-    with _opened(paths.values()) as (*out, stats):
+    with _opened(paths) as (*out, stats):
         s = session_summary(config, _written(records, out[0]) if out else records)
         stats.write(json.dumps(s, indent=2) + "\n")
 
@@ -396,16 +405,19 @@ _COMMANDS = {
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The mubqkd parser.  Every subcommand is registered, so the top-level
-    help and the invalid-choice error list them all; only the given command
-    gets its arguments, or every command when command is None."""
+    """The mubqkd parser: with command None, every subcommand and its
+    arguments, so the top-level help and the invalid-choice error list them
+    all; with a command, that subcommand alone.  Its metavar then names every
+    command, so the top-level usage, which errors such as "unrecognized
+    arguments" print, reads as the full parser's."""
     parser = argparse.ArgumentParser(prog="mubqkd",
                                      description="MUB entanglement simulator and protocol auditor")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_args) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=help_line)
-        if command in (None, name):
-            add_args(sp)
+    names = list(_COMMANDS) if command is None else [command]
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_line, add_args = _COMMANDS[name]
+        add_args(sub.add_parser(name, help=help_line))
     return parser
 
 

@@ -14,12 +14,17 @@ which index_arrays gives as digits[a] @ form @ digits[b] mod p through the
 n x n trace form.  index_arrays builds no GfElem: form[i, j] = tr(x^(i+j))
 comes from the remainders of x^0 .. x^(3n-3) by the modulus, as the
 trace of multiplication by x^(i+j) on the basis 1, x, ..., x^(n-1).
+squares, the index of k * k, sums digits[k, i] * (digits[k] @ prod_digits[i])
+over i, where prod_digits[i, j] holds the coefficients of x^(i+j), by n
+small matmuls on one block of rows at a time.
+The default modulus is the first monic irreducible in a fixed scan order;
+is_irreducible rejects a root in GF(p) and then applies Ben-Or's test,
+gcd(f, x^(p^i) - x) = 1 for 2 <= i <= n/2, rather than trial division.
 GfElem products and Frobenius traces stay the reference the tests use.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -69,18 +74,56 @@ def _poly_rem(a, mod, p):
     return out
 
 
+def _poly_pow_mod(base, e: int, mod, p):
+    """base^e modulo the monic polynomial mod, for e >= 1, by square-and-multiply
+    over the bits of e from the top."""
+    out = base
+    for bit in bin(e)[3:]:
+        out = _poly_rem(_poly_mul(out, out, p), mod, p)
+        if bit == "1":
+            out = _poly_rem(_poly_mul(out, base, p), mod, p)
+    return out
+
+
+def _coprime(a, b, p) -> bool:
+    """Whether a (nonzero) and b have gcd 1 over GF(p), by Euclid's algorithm."""
+    while any(b):
+        while not b[-1]:
+            b = b[:-1]
+        inv = pow(b[-1], -1, p)
+        a, b = b, _poly_rem(a, [c * inv % p for c in b], p)
+    return len(a) == 1
+
+
 def is_irreducible(poly, p: int) -> bool:
-    """Exhaustive trial division by every lower-degree monic polynomial."""
+    """Whether poly is monic of degree n >= 1 and irreducible over GF(p).
+
+    A reducible poly has an irreducible factor of degree i <= n/2.  One of
+    degree 1 is a root, so poly is first evaluated at each of the p points
+    of GF(p) (p <= 1024 when n >= 2 and d = p^n <= MAX_D).  For 2 <= i <=
+    n/2, Ben-Or's test: gcd(poly, x^(p^i) - x) = 1 rules out a factor of
+    degree i, since x^(p^i) - x is the product of the monic irreducibles
+    whose degree divides i.  x^(p^i) mod poly is x^(p^(i-1)) mod poly raised
+    to the p-th power by square-and-multiply."""
     poly = [c % p for c in poly]
     n = len(poly) - 1
     if n < 1 or poly[-1] != 1:
         return False
     if n == 1:
         return True
-    for k in range(1, n // 2 + 1):
-        for tail in itertools.product(range(p), repeat=k):
-            divisor = list(tail) + [1]
-            if not any(_poly_rem(poly, divisor, p)):
+    for a in range(p):
+        v = 0
+        for c in reversed(poly):
+            v = v * a + c
+        if v % p == 0:
+            return False
+    frobenius = [0, 1]                  # x^(p^i) mod poly, from i = 0
+    for i in range(1, n // 2 + 1):
+        frobenius = _poly_pow_mod(frobenius, p, poly, p)
+        if i >= 2:
+            g = frobenius.copy()
+            g[1] = (g[1] - 1) % p
+            if not _coprime(poly, g, p):
                 return False
     return True
 
@@ -299,6 +342,10 @@ class GfElem:
 # Arithmetic on canonical element indices.
 # ---------------------------------------------------------------------------
 
+# Rows of digits that index_arrays squares at a time.
+_SQUARE_ROWS = 4096
+
+
 @lru_cache(maxsize=None)
 def index_arrays(spec: FieldSpec):
     """Read-only (digits, form, squares), O(d * n) in all: the n base-p digits
@@ -309,16 +356,33 @@ def index_arrays(spec: FieldSpec):
     monic modulus.  tr(x^k) is the trace of "multiply by x^k", which sends
     x^i to x^(i+k): the sum over i of coefficient i of x^(i+k).
     The form is the Hankel matrix of tr(x^0) .. tr(x^(2n-2)), and x^i * x^j
-    has the coefficients of x^(i+j)."""
+    has the coefficients of x^(i+j), prod_digits[i, j].  The digits of k * k
+    are then the sum over i of digits[k, i] * (digits[k] @ prod_digits[i])
+    mod p: n int64 matmuls per block of _SQUARE_ROWS rows, into two block
+    buffers, so the build holds digits plus O(n) per block row."""
     p, n, mod = spec.p, spec.n, spec.modulus
-    place = p ** np.arange(n)
-    digits = np.arange(spec.d)[:, None] // place % p
-    powers = [_poly_rem([0] * k + [1], mod, p) for k in range(3 * n - 2)]
+    place = np.array([p ** i for i in range(n)])
+    digits = np.arange(spec.d)[:, None] // place
+    digits %= p
+    powers = [[1] + [0] * (n - 1)]
+    for _ in range(3 * n - 3):                # x^(k+1) = x * x^k, less top * modulus
+        top = powers[-1][-1]
+        powers.append([(c - top * m) % p for c, m in zip([0] + powers[-1][:-1], mod)])
     traces = [sum(powers[i + k][i] for i in range(n)) % p for k in range(2 * n - 1)]
-    hankel = np.add.outer(np.arange(n), np.arange(n))
-    form = np.array(traces)[hankel]
-    prod_digits = np.array(powers[:2 * n - 1])[hankel]
-    squares = np.einsum("ki,kj,ijl->kl", digits, digits, prod_digits) % p @ place
+    form = np.array([traces[i:i + n] for i in range(n)])
+    prod_digits = np.array([powers[i:i + n] for i in range(n)])
+    squares = np.empty(spec.d, dtype=np.int64)
+    for lo in range(0, spec.d, _SQUARE_ROWS):
+        rows = digits[lo:lo + _SQUARE_ROWS]
+        acc = rows @ prod_digits[0]
+        acc *= rows[:, :1]
+        buf = np.empty_like(rows)
+        for i in range(1, n):
+            np.matmul(rows, prod_digits[i], out=buf)
+            buf *= rows[:, i, None]
+            acc += buf
+        acc %= p
+        np.matmul(acc, place, out=squares[lo:lo + _SQUARE_ROWS])
     for t in (digits, form, squares):
         t.setflags(write=False)
     return digits, form, squares

@@ -147,6 +147,23 @@ def test_help_matches_the_full_parser(capsys, argv):
     assert capsys.readouterr().out == full
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--p", "3", "junk"], ["bases", "--p", "3", "junk"],
+    ["wigner", "--p", "5", "--b", "1", "--c", "2", "junk"],
+    ["session", "--p", "3", "--rounds", "1", "junk"],
+    ["session", "--p", "x"], ["verify", "--p"],
+], ids=["verify-junk", "bases-junk", "wigner-junk", "session-junk", "bad-value", "no-value"])
+def test_errors_match_the_full_parser(capsys, argv):
+    """main builds only the named command's parser; its usage errors, some
+    of which print the top-level usage, are those of the full parser."""
+    with pytest.raises(SystemExit) as full:
+        cli._build_parser().parse_args(argv)
+    want = capsys.readouterr().err
+    with pytest.raises(SystemExit) as got:
+        main(argv)
+    assert (got.value.code, capsys.readouterr().err) == (full.value.code, want)
+
+
 def test_benchmark_sessions_match_their_pins(tmp_path, capsys, monkeypatch):
     """The benchmark's two sessions at CLI seed 0 write the transcripts whose
     sha256 perfbench/expected.json pins.  The d = 243 one runs the
@@ -308,6 +325,22 @@ def test_refused_session_truncates_nothing(tmp_path, capsys, kept, before):
                  "--stats", paths["stats"]]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert (keep.read_bytes() if keep.exists() else None) == before
+
+
+@pytest.mark.parametrize("argv, flag, path", [
+    (["session", "--config", "missing.json"], "--config", "missing.json"),
+    (["session", "--p", "3", "--rounds", "5", "--out", "nodir/t.jsonl"], "--out", "nodir/t.jsonl"),
+    (["session", "--p", "3", "--rounds", "5", "--stats", "nodir/s.json"], "--stats", "nodir/s.json"),
+    (["bases", "--p", "3", "--out", "nodir/b.csv"], "--out", "nodir/b.csv"),
+    (["wigner", "--p", "3", "--b", "1", "--c", "2", "--out", "nodir/w.csv"], "--out", "nodir/w.csv"),
+], ids=["session-config", "session-out", "session-stats", "bases-out", "wigner-out"])
+def test_path_errors_name_their_flag(tmp_path, capsys, monkeypatch, argv, flag, path):
+    """A path that cannot be opened exits 2 with an error that starts with
+    its flag, and leaves no file behind."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {flag}: [Errno 2] No such file or directory: '{path}'\n"
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("flag", ["--out", "--stats"])

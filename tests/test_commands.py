@@ -68,6 +68,11 @@ def case(name, argv, window=None, code=0, limit=None):
     case("bases-d9", [*MUBQKD, "bases", "--p", "3", "--n", "2", "--out", "bases.csv"]),
     case("wigner-pair-p5", [*MUBQKD, "wigner", "--p", "5", "--b", "2", "--c", "3", "--pair",
                             "--out", "pair.csv"]),
+    # the default modulus of a large field, found without exhaustive search
+    case("session-d923521", [*MUBQKD, "session", "--p", "31", "--n", "4", "--rounds", "1",
+                             "--no-transcript", "--stats", "d923521.json"], window=20, limit=52),
+    case("session-d531441", [*MUBQKD, "session", "--p", "3", "--n", "12", "--rounds", "1",
+                             "--no-transcript", "--stats", "d531441.json"], window=20, limit=46),
     case("session-d2187-eve", [*MUBQKD, "session", "--p", "3", "--n", "7", "--eve", "uniform-all",
                                "--check-frac", "0.5", "--rounds", "300", "--out", "d2187.jsonl",
                                "--stats", "d2187.json"], code=3),

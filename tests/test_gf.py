@@ -42,6 +42,38 @@ def test_find_irreducible_scans_in_product_order(p, n):
     assert find_irreducible(p, n) == next(t for t in tails if is_irreducible(t, p))
 
 
+def _trial_division_irreducible(poly, p):
+    """Reference: exhaustive trial division by every monic polynomial of
+    degree 1 .. n // 2."""
+    poly = [c % p for c in poly]
+    n = len(poly) - 1
+    if n < 1 or poly[-1] != 1:
+        return False
+    if n == 1:
+        return True
+    for k in range(1, n // 2 + 1):
+        for tail in itertools.product(range(p), repeat=k):
+            divisor = list(tail) + [1]
+            if not any(gf._poly_rem(poly, divisor, p)):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p, n_max", [(3, 5), (5, 5), (7, 4), (11, 4)])
+def test_is_irreducible_matches_trial_division(p, n_max):
+    for n in range(1, n_max + 1):
+        for tail in itertools.product(range(p), repeat=n):
+            poly = tail + (1,)
+            assert is_irreducible(poly, p) == _trial_division_irreducible(poly, p), poly
+    assert not is_irreducible((1, 0, 2), p) and not is_irreducible((1,), p)   # not monic; n = 0
+
+
+@pytest.mark.parametrize("p, n", [(3, 12), (5, 6), (13, 5), (31, 4), (101, 3), (1021, 2)])
+def test_find_irreducible_matches_the_trial_division_scan(p, n):
+    tails = (tail[::-1] + (1,) for tail in itertools.product(range(p), repeat=n))
+    assert find_irreducible(p, n) == next(t for t in tails if _trial_division_irreducible(t, p))
+
+
 def test_large_prime_field_needs_no_candidate_table():
     tracemalloc.start()
     try:
@@ -305,6 +337,24 @@ def test_index_arrays_build_no_elements(monkeypatch):
     monkeypatch.undo()
     assert all(np.array_equal(g, w) for g, w in zip((digits, form, squares),
                                                     _reference_index_arrays(spec)))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_index_arrays_peak_below_half_the_einsum_formula():
+    """The reference's three-operand einsum holds three (d, n) arrays at once:
+    digits, its product and that mod p.  A cold build squares a block of rows
+    at a time, so it holds about one, digits."""
+    spec = FieldSpec(3, 10)
+    peak = _traced_peak(index_arrays.__wrapped__, spec)
+    assert 2 * peak <= _traced_peak(_reference_index_arrays, spec)
 
 
 def test_field_arrays_are_o_d_n():
