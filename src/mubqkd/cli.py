@@ -264,10 +264,12 @@ def _written(records, fh):
 
 
 def _shared_file(a: str, b: str) -> bool:
-    """Whether paths a and b name one regular file, or one path that does
-    not exist yet: a file that writing both would clobber."""
+    """Whether paths a and b name one file other than the null device, or
+    one path that does not exist yet: a file that writing both would
+    clobber, or a pipe or terminal where the two files' buffers would
+    interleave."""
     with contextlib.suppress(OSError):
-        return os.path.samefile(a, b) and os.path.isfile(a)
+        return os.path.samefile(a, b) and not os.path.samefile(a, os.devnull)
     return os.path.realpath(a) == os.path.realpath(b)
 
 

@@ -27,16 +27,12 @@ uniform in any other (the bases are mutually unbiased).
 run_round reads a round plan that its config builds once, on first use
 (SessionConfig._plan): d, p, the field (whose digit tables serve sums at
 n >= 2; sums are mod p at n = 1) and the config's values as a round uses
-them.  A uniform outcome is floor(m*d / 2**53) for the variate
-u = m * 2**-53 that random() returns, in integers, so each of the d
-outcomes takes floor or ceil of 2**53/d of the variates and no table is
-kept.  So a round costs its draws, each one call of the rng's bound
-random() or integers(); a few integer operations on canonical indices, a
+them.  So a round costs its draws, each one call of its Draws' integers(),
+outcome() or random(); a few integer operations on canonical indices, a
 table lookup per chunk of digits at n >= 2; and one positional
 RoundRecord.  The draws are the largest share.
 
-run_round takes any rng with random() and integers(high).  A session
-passes a Draws, which yields the variates of numpy's Generator on
+run_round takes a Draws, which yields the variates of numpy's Generator on
 PCG64(seed) draw for draw, at a fraction of numpy's cost per call.  It
 computes the words of numpy's PCG64 stream itself, seeding as numpy's
 SeedSequence does and stepping a block of 128-bit states at a time in numpy
@@ -325,9 +321,6 @@ _SEED_POOL = 4
 _BLOCK_ROOT = 64
 _BLOCK_WORDS = _BLOCK_ROOT ** 2
 
-# random() returns m * 2**-53 for an integer m in [0, 2**53)
-_TWO53 = float(1 << 53)
-
 
 def _seed_state(seed: int) -> tuple[int, int]:
     """(state, inc) of numpy's PCG64(seed) after seeding, with Python ints.
@@ -416,14 +409,15 @@ class Draws:
     the first states and their map, and each doubling appends the states so
     far stepped by the map, then squares the map.
 
-    random() is numpy's next_double, (w >> 11) * 2**-53.  integers(high) is
-    numpy's bounded 32-bit draw (Lemire, arXiv:1805.10941): x * high for a
-    32-bit x, drawn again while the low 32 bits of the product fall below
-    2**32 mod high, the high 32 bits being the result.  Like PCG64, a 32-bit
-    draw takes the low half of a fresh word and keeps the high half for the
-    next 32-bit draw; random() leaves that half alone.  integers() takes its
-    32-bit halves in its own body, with no helper call, since draws are the
-    largest share of a round's cost.
+    random() is numpy's next_double, (w >> 11) * 2**-53, and outcome(d) the
+    uniform outcome of d from the same word.  integers(high) is numpy's
+    bounded 32-bit draw (Lemire, arXiv:1805.10941): x * high for a 32-bit x,
+    drawn again while the low 32 bits of the product fall below 2**32 mod
+    high, the high 32 bits being the result.  Like PCG64, a 32-bit draw takes
+    the low half of a fresh word and keeps the high half for the next 32-bit
+    draw; random() and outcome() leave that half alone.  integers() takes
+    its 32-bit halves in its own body, with no helper call, since draws are
+    the largest share of a round's cost.
 
     seed is a non-negative int: ValueError for a negative one, as numpy's
     SeedSequence raises, and TypeError for anything operator.index refuses.
@@ -465,6 +459,14 @@ class Draws:
         w = words.pop() if words else self._refill()
         return (w >> 11) * (1.0 / (1 << 53))
 
+    def outcome(self, d: int) -> int:
+        """A uniform outcome in range(d): floor(m*d / 2**53) for the variate
+        m * 2**-53 that random() would return, in integers, so each outcome
+        takes floor or ceil of 2**53/d of the variates and no table is kept."""
+        words = self._words
+        w = words.pop() if words else self._refill()
+        return (w >> 11) * d >> 53
+
     def integers(self, high: int) -> int:
         """Generator.integers(high) for 1 <= high <= 2**32; high 1 draws nothing."""
         if not 1 < high <= 1 << 32:
@@ -487,11 +489,11 @@ class Draws:
                 return m >> 32
 
 
-def run_round(config: SessionConfig, round_index: int, rng) -> RoundRecord:
-    """One round on MUB labels; the dense reference round of the tests makes
-    the same draws in the same order and writes the same record, except at a
-    variate within rounding of an outcome boundary, where its float cumsum
-    and the exact floor(m*d / 2**53) below may differ (the differential
+def run_round(config: SessionConfig, round_index: int, rng: Draws) -> RoundRecord:
+    """One round on MUB labels, drawing from rng; the dense reference round
+    of the tests makes the same draws in the same order and writes the same
+    record, except at a variate within rounding of an outcome boundary,
+    where its float cumsum and Draws.outcome may differ (the differential
     tests' seeds never draw one).
 
     A measurement of the state labeled (basis, c) is certain in its own
@@ -500,73 +502,68 @@ def run_round(config: SessionConfig, round_index: int, rng) -> RoundRecord:
     comparing their c labels: equal states have overlap 1, others 0.
     """
     plan = config._plan
-    d, q = plan.d, plan.q
-    integers, random = rng.integers, rng.random
-    if plan.pair is None:
-        b = int(integers(d))
-        c = int(integers(d))
-    else:
-        b, c = plan.pair
+    d, p, q = plan.d, plan.p, plan.q
+    integers, outcome, random = rng.integers, rng.outcome, rng.random
+    b, c = (integers(d), integers(d)) if plan.pair is None else plan.pair
     delta = plan.delta
 
     # Alice's outcomes are uniform in every basis; Bob's particles collapse
-    # to (b2, expected) = (b - b1, c - c1) and (b2, c2p) = (b - b1, c - delta - c1p).
-    # A uniform outcome is floor(m*d / 2**53) for the variate u = m * 2**-53:
-    # u * 2**53 is exact, so int(u * _TWO53) * d >> 53 is.
-    b1 = int(integers(d))
-    c1 = int(random() * _TWO53) * d >> 53
-    c1p = int(random() * _TWO53) * d >> 53
+    # to (b2, expected) = (b - b1, c - c1) and (b2, c - delta - c1p).
+    b1, c1, c1p = integers(d), outcome(d), outcome(d)
     if q:
         _, add, sub = plan.field.digit_tables
         b2 = chunkwise(q, sub, b, b1)
         expected = chunkwise(q, sub, c, c1)
-        c2p = chunkwise(q, sub, chunkwise(q, sub, c, delta), c1p)
     else:
-        p = plan.p
-        b2, expected, c2p = (b - b1) % p, (c - c1) % p, (c - delta - c1p) % p
-    bob_basis, c2 = b2, expected
+        b2, expected = (b - b1) % p, (c - c1) % p
 
+    # Eve measuring in Bob's basis b2 leaves his particles as they were
     eve_basis = eve_outcome = None
+    undisturbed = True
     if plan.eve:
         eve_basis = plan.eve_basis
         if eve_basis is None:
-            eve_basis = int(integers(plan.eve_high))
-        u1, u2 = random(), random()
-        if eve_basis != b2:
-            c2, c2p = int(u1 * _TWO53) * d >> 53, int(u2 * _TWO53) * d >> 53
-        bob_basis, eve_outcome = eve_basis, [c2, c2p]
+            eve_basis = integers(plan.eve_high)
+        k1, k2 = outcome(d), outcome(d)
+        undisturbed = eve_basis == b2
+        eve_outcome = [k1, k2]
+        if undisturbed:
+            c2p = chunkwise(q, sub, chunkwise(q, sub, c, delta), c1p) if q else (c - delta - c1p) % p
+            eve_outcome = [expected, c2p]
 
     # duty assigned only after transit
     if random() < plan.check_fraction:
-        u = random()
-        measured = c2 if bob_basis == b2 else int(u * _TWO53) * d >> 53
+        u = outcome(d)
+        measured = expected if undisturbed else u
         return RoundRecord(round_index, "check", None, None, b1, c1, c1p, eve_basis,
                            eve_outcome, None, b2, expected, measured, measured == expected)
 
-    # Alice announces the matching shift c1p - c1 + delta for bit 1, any
-    # other of the d values for bit 0; Bob shifts his second state by it (a
-    # shift moves no computational-basis state).
-    bit = int(integers(2))
-    if q:
-        match = chunkwise(q, add, chunkwise(q, sub, c1p, c1), delta)
-    else:
-        match = (c1p - c1 + delta) % plan.p
+    # Alice announces the match c1p - c1 + delta for bit 1, any other of the d
+    # values for bit 0.  Bob's second state shifted by lam equals his first:
+    # undisturbed, iff lam is the match; after Eve's basis e, iff k2 + lam = k1
+    # at e < d, and iff k2 = k1 at e = d (a shift moves no computational state).
+    bit = integers(2)
+    match = chunkwise(q, add, chunkwise(q, sub, c1p, c1), delta) if q else (c1p - c1 + delta) % p
     lam = match
     if not bit:
-        k = int(integers(d - 1))
+        k = integers(d - 1)
         lam = k + 1 if k >= match else k
-    if bob_basis != d:
-        c2p = chunkwise(q, add, c2p, lam) if q else (c2p + lam) % plan.p
+    if undisturbed:
+        agree = lam == match
+    elif eve_basis == d:
+        agree = k1 == k2
+    else:
+        agree = (chunkwise(q, add, k2, lam) if q else (k2 + lam) % p) == k1
     if plan.swap:
         # a swap test is antisymmetric with probability (1 - overlap) / 2
-        p_anti = 0.0 if c2p == c2 else 0.5
+        p_anti = 0.0 if agree else 0.5
         decoded = 1
         for _ in range(plan.reps):
             if random() < p_anti:
                 decoded = 0
                 break
     else:
-        decoded = 1 if c2p == c2 else 0
+        decoded = 1 if agree else 0
     return RoundRecord(round_index, "message", bit, lam, b1, c1, c1p, eve_basis, eve_outcome,
                        decoded, None, None, None, None)
 

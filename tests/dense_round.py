@@ -1,11 +1,13 @@
 """The dense reference round: the round of mubqkd.protocol.run_round played on
-dense state vectors.  Both draw the same variates in the same order and write
+dense state vectors.  It takes any rng with random() and integers(high), such
+as numpy's Generator or a Draws, both of which read the same words.  It draws
+the variates run_round draws from its Draws, in the same order, and writes
 the same records, except at a variate within rounding of an outcome
-boundary: run_round maps the variate m * 2**-53 of a uniform outcome to
-floor(m*d / 2**53) exactly, while born_sample searches a float cumsum.  The
-differential tests' seeds never draw such a variate.  The dense round is the
-physics reference that the label round is tested against.  Pytest does not
-collect this module; test_engine and test_protocol import it.
+boundary: Draws.outcome maps a word to its outcome exactly, while
+born_sample searches a float cumsum.  The differential tests' seeds never
+draw such a variate.  The dense round is the physics reference that the
+label round is tested against.  Pytest does not collect this module;
+test_engine and test_protocol import it.
 """
 
 import numpy as np

@@ -165,21 +165,25 @@ def test_errors_match_the_full_parser(capsys, argv):
 
 
 def test_benchmark_sessions_match_their_pins(tmp_path, capsys, monkeypatch):
-    """The benchmark's two sessions at CLI seed 0 write the transcripts whose
-    sha256 perfbench/expected.json pins.  The d = 243 one runs the
-    three-chunk field arithmetic, beyond the dense differential's d <= 25."""
+    """The benchmark's sessions at CLI seed 0, full and smoke sizes, write the
+    transcripts whose sha256 perfbench/expected.json pins.  The d = 243 one
+    runs the three-chunk field arithmetic, beyond the dense differential's
+    d <= 25; the smoke d = 9 one meets Eve in Bob's basis in about 1 of 10
+    Eve rounds."""
     bench = Path(__file__).resolve().parent.parent / "perfbench"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", bench / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)   # for its dataclass
     spec.loader.exec_module(workloads)
     seed = workloads.GOLDEN_CLI_SEED
-    pins = json.loads((bench / "expected.json").read_text())["full"]
-    assert set(pins) == set(workloads.FULL)
-    for name, w in workloads.FULL.items():
-        out = tmp_path / f"{name}.jsonl"
-        assert main(w.argv(seed, str(out), str(tmp_path / "s.json"))) == w.expected_rc
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == pins[name][str(seed)], name
+    expected = json.loads((bench / "expected.json").read_text())
+    for size, table in (("full", workloads.FULL), ("smoke", workloads.SMOKE)):
+        pins = expected[size]
+        assert set(pins) == set(table)
+        for name, w in table.items():
+            out = tmp_path / f"{size}-{name}.jsonl"
+            assert main(w.argv(seed, str(out), str(tmp_path / "s.json"))) == w.expected_rc
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == pins[name][str(seed)], (size, name)
 
 
 def test_bases_csv(capsys):
@@ -365,6 +369,18 @@ def test_session_refuses_the_file_stdout_writes_to(tmp_path, flag):
         assert [json.loads(rec)["round"] for rec in written] == [0, 1, 2]
     else:
         assert json.loads("".join(written))["rounds"] == 3
+
+
+def test_session_refuses_one_pipe_for_out_and_stats():
+    """--out and --stats on one pipe would each flush their own buffer into
+    it, the summary landing amid the records."""
+    argv = [sys.executable, "-m", "mubqkd.cli", "session", "--p", "7", "--rounds", "2000",
+            "--seed", "1", "--out", "/dev/stdout", "--stats", "/dev/stdout"]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mubqkd.__file__))}
+    proc = subprocess.run(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, b"", b"error: --out and --stats name one file: /dev/stdout\n")
 
 
 def test_closed_stdout_pipe_exits_141_silently():

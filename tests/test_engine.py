@@ -41,7 +41,7 @@ def test_label_round_matches_dense_round(spec, eve):
             eve=EVES[eve](d), delta_offset=delta,
             pair_label=(1, d - 1) if fixed_pair else None,
             seed=seed)
-        assert _jsonl(run_round, config) == _jsonl(run_round_dense, config), config
+        assert _jsonl(run_round, config, Draws) == _jsonl(run_round_dense, config), config
 
 
 @pytest.mark.parametrize("eve", list(EVES))
@@ -89,8 +89,8 @@ def test_configs_differing_in_one_value_never_share_a_plan(change):
                   swap_repetitions=2, eve=EveStrategy("intercept_resend", "uniform_all"), seed=4),
     SessionConfig(field=FieldSpec(7, 1), rounds=200, check_fraction=0.5, delta_offset=3, seed=5),
 ], ids=["d9-swap-eve", "d7-oracle"])
-def test_label_round_on_a_numpy_generator_returns_plain_values(config):
-    rng = np.random.default_rng(config.seed)
+def test_label_round_on_draws_returns_plain_values(config):
+    rng = Draws(config.seed)
     kinds = set()
     for i in range(config.rounds):
         rec = run_round(config, i, rng)

@@ -20,7 +20,7 @@ from mubqkd.entangle import entangled_mub, measure_first
 from mubqkd.phasespace import run_cv_round
 from mubqkd.protocol import (_BLOCK_WORDS, Draws, EveStrategy, RoundRecord, SessionConfig,
                              _seed_state, eavesdropper_detected,
-                             run_round, session_records, session_summary, summarize)
+                             session_records, session_summary, summarize)
 
 from dense_round import _alice_encode, _bob_decode
 
@@ -455,26 +455,12 @@ def test_verify_never_imports_numpy_random():
                    env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.DEVNULL)
 
 
-class _ScriptedRng:
-    """An rng whose random() returns the given variates in turn and whose
-    integers(high) returns 0."""
-
-    def __init__(self, variates):
-        self._variates = iter(variates)
-
-    def random(self):
-        return next(self._variates)
-
-    def integers(self, high):
-        return 0
-
-
 @pytest.mark.parametrize("spec", [GF3, GF7, FieldSpec(3, 5), FieldSpec(3, 10),
                                   FieldSpec(1_048_573, 1)], ids=lambda spec: str(spec.d))
 def test_uniform_outcome_is_floor_of_m_d_over_2_53(spec):
-    """A uniform outcome of run_round is floor(m*d / 2**53) for the variate
-    u = m * 2**-53, so outcome k starts at m = ceil(k * 2**53 / d).  Checked
-    at m = 0, m = 2**53 - 1 and both sides of sampled starts, among them the
+    """Draws.outcome(d) is floor(m*d / 2**53) for the variate u = m * 2**-53
+    of its word, so outcome k starts at m = ceil(k * 2**53 / d).  Checked at
+    m = 0, m = 2**53 - 1 and both sides of sampled starts, among them the
     first start that searching numpy's cumsum of d copies of 1/d moves."""
     d, two53 = spec.d, 1 << 53
     ks = np.arange(1, d)
@@ -490,13 +476,38 @@ def test_uniform_outcome_is_floor_of_m_d_over_2_53(spec):
     expected = [k for _, k in cases]
     assert (np.minimum(cdf.searchsorted(us, side="right"), d - 1) != expected).any()
 
-    cfg = SessionConfig(field=spec, rounds=1, check_fraction=0.0, pair_label=(0, 0))
-    outcomes = []
-    for i in range(0, len(us), 2):
-        record = run_round(cfg, 0, _ScriptedRng([us[i], us[i + 1], 0.5]))
-        assert record.kind == "message"
-        outcomes += [record.c1, record.c1p]
-    assert outcomes == expected
+    draws = Draws(0)
+    for low in (0, 0x7FF):      # the 11 low bits that random() drops too
+        draws._words = [m << 11 | low for m, _ in reversed(cases)]    # next word last
+        assert [draws.outcome(d) for _ in cases] == expected, low
+
+
+OUTCOME_DS = [1, 2, 3, 7, 243, 59_049, 1_048_573]
+
+
+def test_outcome_takes_the_word_random_takes():
+    """outcome(d) equals floor(random() * 2**53) * d >> 53 on a Draws of the
+    same seed, across block refills and with a kept 32-bit half pending, and
+    leaves the same next draws."""
+    pending = 0
+    for seed in (0, 7, 2 ** 64):
+        draws, ref, refills = Draws(seed), Draws(seed), 0
+        gen = np.random.default_rng(30_000 + seed)
+        for kind, d in zip(gen.integers(3, size=12_000).tolist(),
+                           gen.choice(OUTCOME_DS, size=12_000).tolist()):
+            left = len(draws._words)
+            if kind == 0:
+                assert draws.integers(d) == ref.integers(d)
+            elif kind == 1:
+                assert draws.random() == ref.random()
+            else:
+                pending += draws._half is not None
+                assert draws.outcome(d) == int(ref.random() * (1 << 53)) * d >> 53, (seed, d)
+            refills += len(draws._words) > left
+        assert [draws.integers(7), draws.integers(7), draws.random()] == [
+            ref.integers(7), ref.integers(7), ref.random()]
+        assert refills >= 2, seed
+    assert pending > 0
 
 
 # ---------------------------------------------------------------------------
