@@ -2,8 +2,8 @@
 and protocol sessions with persisted transcripts.
 
 Exit codes: 0 success, 1 invariant failure, 2 usage or config error,
-3 eavesdropper detected, 141 (128 + SIGPIPE) stdout closed by its reader,
-with nothing on stderr.
+3 eavesdropper detected (a check round failed), 141 (128 + SIGPIPE) stdout
+closed by its reader, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -184,6 +184,18 @@ def cmd_bases(args) -> int:
     return 0
 
 
+def _wigner_rows(spec: FieldSpec, b: int, c: int, pair: bool):
+    """CSV rows of the Wigner table of the state (b, c), or of its pair's
+    support, computed when the first row is asked for."""
+    if pair:
+        for (q1, p1, q2, p2), v in dwigner2_support(entangled_mub(spec, b, c)).items():
+            yield f"{q1},{p1},{q2},{p2},{v!r}"
+    else:
+        table = dwigner1(mub_state(spec, b, c))
+        for q, p in itertools.product(range(spec.d), repeat=2):
+            yield f"{q},{p},{float(table[q, p])!r}"
+
+
 def cmd_wigner(args) -> int:
     if args.n not in (None, 1):
         raise ValueError("Wigner tables are defined for prime dimension only (n = 1)")
@@ -191,14 +203,8 @@ def cmd_wigner(args) -> int:
     d = spec.d
     if not 0 <= args.b < d or not 0 <= args.c < d:
         raise ValueError(f"--b and --c must lie in [0, {d})")
-    if args.pair:
-        support = dwigner2_support(entangled_mub(spec, args.b, args.c))
-        _emit("q1,p1,q2,p2,value", (f"{q1},{p1},{q2},{p2},{v!r}"
-                                    for (q1, p1, q2, p2), v in support.items()), args.out)
-    else:
-        table = dwigner1(mub_state(spec, args.b, args.c))
-        _emit("q,p,value", (f"{q},{p},{float(table[q, p])!r}"
-                            for q in range(d) for p in range(d)), args.out)
+    header = "q1,p1,q2,p2,value" if args.pair else "q,p,value"
+    _emit(header, _wigner_rows(spec, args.b, args.c, args.pair), args.out)
     return 0
 
 
@@ -263,32 +269,15 @@ def _written(records, fh):
         yield rec
 
 
-def _shared_file(a: str, b: str) -> bool:
-    """Whether paths a and b name one file other than the null device, or
-    one path that does not exist yet: a file that writing both would
-    clobber, or a pipe or terminal where the two files' buffers would
-    interleave."""
-    with contextlib.suppress(OSError):
-        return os.path.samefile(a, b) and not os.path.samefile(a, os.devnull)
-    return os.path.realpath(a) == os.path.realpath(b)
-
-
-def _is_stdout(path: str) -> bool:
-    """Whether path names the regular file that stdout writes to, which
-    writing both would clobber.  A stdout without a file descriptor (a
-    StringIO, pytest's capture) names no file."""
-    with contextlib.suppress(AttributeError, OSError, ValueError):
-        fd_stat = os.fstat(sys.stdout.fileno())
-        return stat.S_ISREG(fd_stat.st_mode) and os.path.samestat(fd_stat, os.stat(path))
-    return False
-
-
 @contextlib.contextmanager
 def _opened(paths):
-    """The files at paths, a dict of flag to path, opened to append, then
-    truncated (regular files only) once all are open.  If one cannot be
-    opened, none is truncated, the ones this call created are removed, and
-    the error names the path's flag: every file stays as it was."""
+    """The files at paths, a dict of flag to path, opened to append, checked,
+    then truncated (regular files only).  Two of them on one file other than
+    the null device are refused: a file that writing both would clobber, or
+    a pipe or terminal where their buffers would interleave.  So is one on
+    the regular file that stdout writes to.  If a file cannot be opened or
+    is refused, none is truncated, the ones this call created are removed,
+    and the error names the path's flag: every file stays as it was."""
     with contextlib.ExitStack() as stack:
         files, created = [], []
         try:
@@ -297,31 +286,37 @@ def _opened(paths):
                 files.append(stack.enter_context(_open(flag, path, "a")))
                 if new:
                     created.append(path)
-        except OSError:
+            stats = dict(zip(paths, (os.fstat(fh.fileno()) for fh in files)))
+            for (a, sa), (b, sb) in itertools.combinations(stats.items(), 2):
+                if os.path.samestat(sa, sb) and not os.path.samestat(sa, os.stat(os.devnull)):
+                    raise ValueError(f"{a} and {b} name one file: {paths[b]}")
+            stdout = None   # a stdout without a file descriptor names no file
+            with contextlib.suppress(AttributeError, OSError, ValueError):
+                stdout = os.fstat(sys.stdout.fileno())
+            for flag, st in stats.items():
+                if stdout and stat.S_ISREG(stdout.st_mode) and os.path.samestat(stdout, st):
+                    raise ValueError(f"{flag} names the file that stdout writes to: {paths[flag]}")
+        except (OSError, ValueError):
             stack.close()
             for path in created:
                 os.remove(path)
             raise
-        for fh in files:
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        for fh, st in zip(files, stats.values()):
+            if stat.S_ISREG(st.st_mode):
                 fh.truncate(0)
         yield files
 
 
 def cmd_session(args) -> int:
+    config = _session_config(args)
     paths = {"--out": args.out, "--stats": args.stats}
     if args.no_transcript:
         del paths["--out"]
-    elif _shared_file(args.out, args.stats):
-        raise ValueError(f"--out and --stats name one file: {args.stats}")
-    for flag, path in paths.items():
-        if _is_stdout(path):
-            raise ValueError(f"{flag} names the file that stdout writes to: {path}")
-    config = _session_config(args)
-    # Both files are opened before the first round, so a bad path costs no
-    # rounds.  Records are written and counted as they are made, none kept.
-    records = session_records(config)
+    # Both files are opened and checked before the first round, so a bad
+    # path costs no rounds.  Records are written and counted as they are
+    # made, none kept.
     with _opened(paths) as (*out, stats):
+        records = session_records(config)
         s = session_summary(config, _written(records, out[0]) if out else records)
         stats.write(json.dumps(s, indent=2) + "\n")
 

@@ -42,7 +42,6 @@ imports numpy's random module.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections.abc import Iterable, Iterator, Mapping, Set
 from contextlib import contextmanager, suppress
@@ -569,12 +568,10 @@ def run_round(config: SessionConfig, round_index: int, rng: Draws) -> RoundRecor
 
 
 def eavesdropper_detected(passes: int, n_check: int) -> bool:
-    """Check pass rate significantly below 1 (three binomial sigma)."""
-    if n_check == 0:
-        return False
-    rate = passes / n_check
-    eps = 3.0 * math.sqrt(rate * (1.0 - rate) / n_check)
-    return rate < 1.0 - eps
+    """Whether a check failed.  The null hypothesis is "no disturbance": the
+    channel has no noise, so without an eavesdropper every check passes, and
+    one failed check rejects the null."""
+    return passes < n_check
 
 
 def summarize(records: Iterable[RoundRecord]) -> dict:

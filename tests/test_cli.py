@@ -277,6 +277,19 @@ def test_wigner_rejects_oversize_dimension(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: d = 83 exceeds --max-d 81\n"
 
 
+@pytest.mark.parametrize("pair", [[], ["--pair"]], ids=["single", "pair"])
+def test_wigner_opens_out_before_it_computes(tmp_path, capsys, monkeypatch, pair):
+    def no_table(*args):
+        raise AssertionError("a Wigner table was computed before --out was opened")
+
+    monkeypatch.setattr(cli, "dwigner1", no_table)
+    monkeypatch.setattr(cli, "dwigner2_support", no_table)
+    monkeypatch.chdir(tmp_path)
+    assert main(["wigner", "--p", "3", "--b", "1", "--c", "2", *pair, "--out", "nodir/w.csv"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --out: [Errno 2] No such file or directory: 'nodir/w.csv'\n")
+
+
 def test_wigner_deterministic_output(capsys):
     assert main(["wigner", "--p", "5", "--b", "2", "--c", "3"]) == 0
     first = capsys.readouterr().out
@@ -294,9 +307,10 @@ def test_session_opens_stats_before_the_first_round(tmp_path, capsys, monkeypatc
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("stats", ["same.json", "./same.json", "link.json"],
-                         ids=["same", "dot-slash", "hard-link"])
-def test_session_refuses_one_file_for_out_and_stats(tmp_path, capsys, monkeypatch, stats):
+@pytest.mark.parametrize("out, stats", [("same.json", "same.json"), ("same.json", "./same.json"),
+                                        ("same.json", "link.json"), ("new.json", "./new.json")],
+                         ids=["same", "dot-slash", "hard-link", "new"])
+def test_session_refuses_one_file_for_out_and_stats(tmp_path, capsys, monkeypatch, out, stats):
     def no_round(*args):
         raise AssertionError("a round ran")
 
@@ -304,10 +318,19 @@ def test_session_refuses_one_file_for_out_and_stats(tmp_path, capsys, monkeypatc
     (tmp_path / "link.json").hardlink_to(tmp_path / "same.json")
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(protocol, "run_round", no_round)
-    assert main(["session", "--p", "7", "--rounds", "50", "--out", "same.json",
-                 "--stats", stats]) == 2
+    assert main(["session", "--p", "7", "--rounds", "50", "--out", out, "--stats", stats]) == 2
     assert capsys.readouterr().err == f"error: --out and --stats name one file: {stats}\n"
     assert (tmp_path / "same.json").read_text() == "kept\n"
+    assert not (tmp_path / "new.json").exists()
+
+
+def test_session_reads_its_config_before_it_opens_its_files(tmp_path, capsys, monkeypatch):
+    """A config error comes before the output files are opened or checked."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["session", "--p", "4", "--rounds", "5", "--out", "same.json",
+                 "--stats", "same.json"]) == 2
+    assert capsys.readouterr().err == "error: field: p must be an odd prime, got 4\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_session_allows_devnull_for_out_and_stats(capsys):

@@ -364,6 +364,8 @@ def test_detection_thresholds():
     assert eavesdropper_detected(100, 100) is False
     assert eavesdropper_detected(50, 100) is True
     assert eavesdropper_detected(0, 10) is True
+    assert eavesdropper_detected(1, 2) is True
+    assert eavesdropper_detected(999, 1000) is True
 
 
 # ---------------------------------------------------------------------------
