@@ -31,6 +31,12 @@ def main():
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--out", type=str, default=None, help="CSV path (default stdout)")
     args = ap.parse_args()
+    out = sys.stdout
+    if args.out:
+        try:   # opened before the sweep, so a bad path costs no sessions
+            out = open(args.out, "w")
+        except OSError as exc:
+            ap.error(f"--out: {exc}")
 
     lines = ["p,n,d,eve,rounds,pass_rate,predicted,detected"]
     for p, n in FIELDS:
@@ -45,12 +51,8 @@ def main():
             lines.append(f"{p},{n},{spec.d},{picker},{args.rounds},"
                          f"{rate:.6f},{predicted_pass_rate(spec.d, picker):.6f},"
                          f"{summary['eavesdropper_detected']}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with out:
+        out.write("\n".join(lines) + "\n")
 
 
 if __name__ == "__main__":

@@ -21,6 +21,12 @@ def main():
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--out", type=str, default=None, help="CSV path (default stdout)")
     args = ap.parse_args()
+    out = sys.stdout
+    if args.out:
+        try:   # opened before the sweep, so a bad path costs no sessions
+            out = open(args.out, "w")
+        except OSError as exc:
+            ap.error(f"--out: {exc}")
 
     spec = FieldSpec(args.p, 1)
     lines = ["d,reps,bit0_rounds,misdecode_rate,predicted"]
@@ -33,12 +39,8 @@ def main():
                 bit0 += 1
                 misdecoded += r.decoded == 1
         lines.append(f"{spec.d},{reps},{bit0},{misdecoded / bit0:.6f},{0.5 ** reps:.6f}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with out:
+        out.write("\n".join(lines) + "\n")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Command-line front end: invariant verification, basis and Wigner dumps,
 and protocol sessions with persisted transcripts.
 
-Exit codes: 0 success, 1 invariant failure, 2 usage or config error,
-3 eavesdropper detected (a check round failed), 141 (128 + SIGPIPE) stdout
-closed by its reader, with nothing on stderr.
+Exit codes: 0 success, 1 invariant failure, 2 usage or config error or a
+refused allocation (MemoryError), 3 eavesdropper detected (a check round
+failed), 141 (128 + SIGPIPE) stdout closed by its reader, with nothing on
+stderr.
 """
 
 from __future__ import annotations
@@ -433,8 +434,8 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (ValueError, OSError) as exc:
-        msg = str(exc)
+    except (ValueError, OSError, MemoryError) as exc:
+        msg = str(exc) or type(exc).__name__
         if len(msg) > MAX_ERROR_CHARS:
             msg = msg[:MAX_ERROR_CHARS - 1] + "…"
         print(f"error: {msg}", file=sys.stderr)

@@ -23,21 +23,6 @@ run_round plays a round on MUB labels alone: every state is a pair
 (basis index, c index), basis index d being the computational basis, and
 the outcome of measuring one in a basis is certain in its own basis and
 uniform in any other (the bases are mutually unbiased).
-
-run_round reads a round plan that its config builds once, on first use
-(SessionConfig._plan): d, p, the field (whose digit tables serve sums at
-n >= 2; sums are mod p at n = 1) and the config's values as a round uses
-them.  So a round costs its draws, each one call of its Draws' integers(),
-outcome() or random(); a few integer operations on canonical indices, a
-table lookup per chunk of digits at n >= 2; and one positional
-RoundRecord.  The draws are the largest share.
-
-run_round takes a Draws, which yields the variates of numpy's Generator on
-PCG64(seed) draw for draw, at a fraction of numpy's cost per call.  It
-computes the words of numpy's PCG64 stream itself, seeding as numpy's
-SeedSequence does and stepping a block of 128-bit states at a time in numpy
-arrays, each block the last one stepped by one map, so a session never
-imports numpy's random module.
 """
 
 from __future__ import annotations
@@ -126,7 +111,7 @@ class EveStrategy:
             raise ValueError("fixed_basis: the fixed picker needs a basis index")
 
     def to_json(self) -> dict:
-        return {"kind": self.kind, "picker": self.picker, "fixed_basis": self.fixed_basis}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json(cls, cfg: dict) -> EveStrategy:
@@ -144,8 +129,8 @@ class _RoundPlan:
 
     field: FieldSpec
     d: int
-    p: int
-    q: int                      # chunk size of field.digit_tables; 0 at n = 1, where sums are mod p
+    q: int                      # chunk size of field.digit_tables; 0 at n = 1,
+                                # where d = p and sums are mod d
     pair: tuple[int, int] | None
     delta: int
     check_fraction: float
@@ -212,7 +197,7 @@ class SessionConfig:
         spec, eve = self.field, self.eve
         d = spec.d
         return _RoundPlan(
-            field=spec, d=d, p=spec.p, q=spec.digit_tables[0] if spec.n > 1 else 0,
+            field=spec, d=d, q=spec.digit_tables[0] if spec.n > 1 else 0,
             pair=self.pair_label, delta=self.delta_offset, check_fraction=self.check_fraction,
             eve=eve.kind == "intercept_resend",
             eve_basis=eve.fixed_basis if eve.picker == "fixed" else None,
@@ -220,17 +205,10 @@ class SessionConfig:
             swap=self.mode == "swap", reps=self.swap_repetitions)
 
     def to_json(self) -> dict:
-        return {
-            "field": self.field.to_config(),
-            "rounds": self.rounds,
-            "check_fraction": self.check_fraction,
-            "mode": self.mode,
-            "swap_repetitions": self.swap_repetitions,
-            "eve": self.eve.to_json(),
-            "delta_offset": self.delta_offset,
-            "pair_label": None if self.pair_label is None else list(self.pair_label),
-            "seed": self.seed,
-        }
+        """The config document, its keys in field order."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**doc, "field": self.field.to_config(), "eve": self.eve.to_json(),
+                "pair_label": None if self.pair_label is None else list(self.pair_label)}
 
     @classmethod
     def from_json(cls, cfg: dict) -> SessionConfig:
@@ -441,15 +419,11 @@ class Draws:
         self._words = _xsl_rr(hi, lo)   # the block's unused words, next one last
         self._half: int | None = None
 
-    def _block(self) -> list[int]:
-        """The next _BLOCK_WORDS words of the stream, next one last: the held
-        states stepped by the map."""
-        self._hi, self._lo = _affine(*self._map, self._hi, self._lo)
-        return _xsl_rr(self._hi, self._lo)
-
     def _refill(self) -> int:
-        """The first word of a fresh block."""
-        self._words = self._block()
+        """The first word of the next block, whose states are the held ones
+        stepped by the map; its other words are kept, next one last."""
+        self._hi, self._lo = _affine(*self._map, self._hi, self._lo)
+        self._words = _xsl_rr(self._hi, self._lo)
         return self._words.pop()
 
     def random(self) -> float:
@@ -499,9 +473,14 @@ def run_round(config: SessionConfig, round_index: int, rng: Draws) -> RoundRecor
     basis and uniform in every other, one variate either way, as born_sample
     draws.  Bob's two particles always share a basis, so comparing them is
     comparing their c labels: equal states have overlap 1, others 0.
+
+    The round reads its config's round plan, built once (SessionConfig._plan),
+    so it costs its draws, the largest share; a few integer operations on
+    canonical indices, a table lookup per chunk of digits at n >= 2; and one
+    positional RoundRecord.
     """
     plan = config._plan
-    d, p, q = plan.d, plan.p, plan.q
+    d, q = plan.d, plan.q
     integers, outcome, random = rng.integers, rng.outcome, rng.random
     b, c = (integers(d), integers(d)) if plan.pair is None else plan.pair
     delta = plan.delta
@@ -514,7 +493,7 @@ def run_round(config: SessionConfig, round_index: int, rng: Draws) -> RoundRecor
         b2 = chunkwise(q, sub, b, b1)
         expected = chunkwise(q, sub, c, c1)
     else:
-        b2, expected = (b - b1) % p, (c - c1) % p
+        b2, expected = (b - b1) % d, (c - c1) % d
 
     # Eve measuring in Bob's basis b2 leaves his particles as they were
     eve_basis = eve_outcome = None
@@ -527,7 +506,7 @@ def run_round(config: SessionConfig, round_index: int, rng: Draws) -> RoundRecor
         undisturbed = eve_basis == b2
         eve_outcome = [k1, k2]
         if undisturbed:
-            c2p = chunkwise(q, sub, chunkwise(q, sub, c, delta), c1p) if q else (c - delta - c1p) % p
+            c2p = chunkwise(q, sub, chunkwise(q, sub, c, delta), c1p) if q else (c - delta - c1p) % d
             eve_outcome = [expected, c2p]
 
     # duty assigned only after transit
@@ -542,7 +521,7 @@ def run_round(config: SessionConfig, round_index: int, rng: Draws) -> RoundRecor
     # undisturbed, iff lam is the match; after Eve's basis e, iff k2 + lam = k1
     # at e < d, and iff k2 = k1 at e = d (a shift moves no computational state).
     bit = integers(2)
-    match = chunkwise(q, add, chunkwise(q, sub, c1p, c1), delta) if q else (c1p - c1 + delta) % p
+    match = chunkwise(q, add, chunkwise(q, sub, c1p, c1), delta) if q else (c1p - c1 + delta) % d
     lam = match
     if not bit:
         k = integers(d - 1)
@@ -552,7 +531,7 @@ def run_round(config: SessionConfig, round_index: int, rng: Draws) -> RoundRecor
     elif eve_basis == d:
         agree = k1 == k2
     else:
-        agree = (chunkwise(q, add, k2, lam) if q else (k2 + lam) % p) == k1
+        agree = (chunkwise(q, add, k2, lam) if q else (k2 + lam) % d) == k1
     if plan.swap:
         # a swap test is antisymmetric with probability (1 - overlap) / 2
         p_anti = 0.0 if agree else 0.5

@@ -290,6 +290,22 @@ def test_wigner_opens_out_before_it_computes(tmp_path, capsys, monkeypatch, pair
         "error: --out: [Errno 2] No such file or directory: 'nodir/w.csv'\n")
 
 
+@pytest.mark.parametrize("exc, err", [
+    (MemoryError("Unable to allocate 32.0 GiB"), "error: Unable to allocate 32.0 GiB\n"),
+    (MemoryError(), "error: MemoryError\n"),
+], ids=["numpy", "bare"])
+def test_refused_allocation_is_exit_2(tmp_path, capsys, monkeypatch, exc, err):
+    """An allocation that numpy or Python refuses is an error line and exit 2,
+    not a traceback and exit 1, which means an invariant failed."""
+    def no_memory(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "dwigner1", no_memory)
+    assert main(["wigner", "--p", "3", "--b", "1", "--c", "2",
+                 "--out", str(tmp_path / "w.csv")]) == 2
+    assert capsys.readouterr().err == err
+
+
 def test_wigner_deterministic_output(capsys):
     assert main(["wigner", "--p", "5", "--b", "2", "--c", "3"]) == 0
     first = capsys.readouterr().out

@@ -85,6 +85,12 @@ def case(name, argv, window=None, code=0, limit=None):
                              "--rounds", "100"]),
     case("swap-soundness", [sys.executable, str(ROOT / "scripts" / "swap_soundness.py"),
                             "--rounds", "200", "--max-reps", "3"]),
+    # an unwritable --out is refused before the sweep
+    case("detection-sweep-bad-out", [sys.executable, str(ROOT / "scripts" / "detection_sweep.py"),
+                                     "--rounds", "100", "--out", "nodir/x.csv"], code=2),
+    case("swap-soundness-bad-out", [sys.executable, str(ROOT / "scripts" / "swap_soundness.py"),
+                                    "--rounds", "200", "--max-reps", "3", "--out", "nodir/x.csv"],
+         code=2),
 ])
 def test_command(tmp_path, argv, window, code, limit):
     """argv exits with code (124: still running when its window closed) and,

@@ -352,6 +352,18 @@ def test_config_json_roundtrip():
     assert SessionConfig.from_json(cfg.to_json()) == cfg
 
 
+def test_summary_config_keeps_its_documented_key_order():
+    """The config object of a summary lists its keys as README's config
+    document does; dict equality, as in the round trip above, ignores order."""
+    cfg = SessionConfig(field=FieldSpec(3, 2), rounds=5,
+                        eve=EveStrategy("intercept_resend", "fixed", 4), pair_label=(1, 2))
+    doc = session_summary(cfg, ())["config"]
+    assert list(doc) == ["field", "rounds", "check_fraction", "mode", "swap_repetitions", "eve",
+                         "delta_offset", "pair_label", "seed"]
+    assert list(doc["eve"]) == ["kind", "picker", "fixed_basis"]
+    assert list(doc["field"]) == ["p", "n", "modulus"]
+
+
 @pytest.mark.parametrize("field_cfg", [{"p": 3.7}, {"p": "7"}, {"n": 2},
                                        {"p": 3, "n": 2, "modulus": [1, 0, 1.5]}])
 def test_field_config_errors_name_the_field(field_cfg):
@@ -399,7 +411,8 @@ def test_draws_words_match_pcg64(seed):
     draws = Draws(seed)
     words = draws._words[::-1]
     for _ in range(3):
-        words += draws._block()[::-1]
+        words.append(draws._refill())
+        words += draws._words[::-1]
     assert words == bits.random_raw(4 * _BLOCK_WORDS).tolist()
 
 
