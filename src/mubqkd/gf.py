@@ -7,8 +7,8 @@ FieldSpec refuses d above MAX_D before it tests p or looks for a modulus,
 so every table below holds at most d <= MAX_D entries.
 Addition is digit-wise mod p on indices: for n >= 2 an index splits into
 chunks of h = n // 2 base-p digits, and each pair of chunks is looked up in
-the add or sub table of FieldSpec.digit_tables (p^(2h) <= d entries each),
-so a sum costs at most three lookups whatever n is.
+the add or sub table of FieldSpec.digit_tables (p^(2h) <= d entries each);
+d <= p^(3h), so a sum costs three lookups whatever n is.
 Products and the trace work on coefficients.  Phases need only tr(a*b),
 which index_arrays gives as digits[a] @ form @ digits[b] mod p through the
 n x n trace form.  index_arrays builds no GfElem: form[i, j] = tr(x^(i+j))
@@ -391,18 +391,16 @@ def index_arrays(spec: FieldSpec):
 def chunkwise(q: int, table, a: int, b: int) -> int:
     """Index whose base-q chunks are table[x * q + y], for x and y the chunks of a and b.
 
-    With (q, add, sub) = spec.digit_tables (n >= 2), chunkwise(q, add, a, b)
-    is index_add(spec, a, b) and chunkwise(q, sub, a, b) is index_sub(spec,
-    a, b), without reading spec on each call."""
+    Requires (q, add, sub) = spec.digit_tables at n >= 2 and a, b in [0, d);
+    then chunkwise(q, add, a, b) is index_add(spec, a, b) and chunkwise(q,
+    sub, a, b) is index_sub(spec, a, b), without reading spec on each call.
+    q = p^(n // 2) gives d <= q^3, so an index has at most three chunks, and
+    a missing top chunk reads table[0], which is 0 in both tables."""
     if b == 0:                          # a + 0 = a - 0 = a
         return a
-    out, scale = 0, 1
-    while a or b:
-        out += table[a % q * q + b % q] * scale
-        a //= q
-        b //= q
-        scale *= q
-    return out
+    qq = q * q
+    return (table[a % q * q + b % q] + table[a // q % q * q + b // q % q] * q
+            + table[a // qq * q + b // qq] * qq)
 
 
 def index_add(spec: FieldSpec, a: int, b: int) -> int:

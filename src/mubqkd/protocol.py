@@ -476,8 +476,8 @@ def run_round(config: SessionConfig, round_index: int, rng: Draws) -> RoundRecor
 
     The round reads its config's round plan, built once (SessionConfig._plan),
     so it costs its draws, the largest share; a few integer operations on
-    canonical indices, a table lookup per chunk of digits at n >= 2; and one
-    positional RoundRecord.
+    canonical indices, three table lookups per sum or difference at n >= 2;
+    and one positional RoundRecord.
     """
     plan = config._plan
     d, q = plan.d, plan.q

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -372,8 +373,13 @@ def _digitwise(spec, a, b, sign):
     return sum((a // p ** i % p + sign * (b // p ** i % p)) % p * p ** i for i in range(spec.n))
 
 
+# Chunks of n // 2 digits: three of 5, 5, 1 digits at 3^11, of 2, 2, 1 at 11^5
+# (q = 121) and of 1, 1, 1 at 101^3 (q = 101); an empty top chunk at 3^12
+# (q = 729) and 1021^2 (q = 1021).
+LAYOUT_SPECS = [FieldSpec(3, 11), FieldSpec(11, 5), FieldSpec(101, 3), FieldSpec(3, 12),
+                FieldSpec(1021, 2)]
 TABLE_SPECS = ([FieldSpec(3, n) for n in range(2, 8)]
-               + [FieldSpec(5, 3), FieldSpec(7, 2), FieldSpec(3, 2, (2, 1, 1))])
+               + [FieldSpec(5, 3), FieldSpec(7, 2), FieldSpec(3, 2, (2, 1, 1))] + LAYOUT_SPECS)
 TABLE_IDS = [f"{s.p}^{s.n}{'' if s.modulus == find_irreducible(s.p, s.n) else '-mod'}"
              for s in TABLE_SPECS]
 
@@ -393,6 +399,26 @@ def test_index_arithmetic_matches_digitwise_reference(spec):
     for a in [*range(min(d, 50)), d - 1]:               # a zero operand on either side
         assert index_add(spec, a, 0) == index_sub(spec, a, 0) == index_add(spec, 0, a) == a
         assert index_sub(spec, 0, a) == _digitwise(spec, 0, a, -1)
+
+
+@pytest.mark.parametrize("spec", LAYOUT_SPECS, ids=lambda s: f"{s.p}^{s.n}")
+def test_index_arithmetic_matches_digitwise_reference_at_chunk_edges(spec):
+    q, d = spec.digit_tables[0], spec.d
+    edges = [0, 1, q - 1, q, d - q, d - 1]
+    for a, b in itertools.product(edges, repeat=2):
+        assert index_add(spec, a, b) == _digitwise(spec, a, b, 1)
+        assert index_sub(spec, a, b) == _digitwise(spec, a, b, -1)
+
+
+def test_largest_field_of_each_degree_has_at_most_three_chunks():
+    """chunkwise reads three chunks of each index: d <= q^3 for the largest
+    field of each degree 2 <= n <= 12 that MAX_D admits."""
+    limit = gf.MAX_D
+    for n in range(2, int(math.log(limit, 3)) + 1):
+        p = next(p for p in range(int(limit ** (1 / n)) + 1, 2, -1)
+                 if p % 2 and gf.is_prime(p) and p ** n <= limit)
+        spec = FieldSpec(p, n)
+        assert spec.d <= spec.digit_tables[0] ** 3
 
 
 @pytest.mark.parametrize("spec", TABLE_SPECS, ids=TABLE_IDS)

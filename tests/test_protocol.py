@@ -132,21 +132,32 @@ def test_eve_in_wrong_basis_passes_with_rate_one_over_d():
 # sessions
 # ---------------------------------------------------------------------------
 
-def test_round_records_have_consistent_algebra():
-    spec = GF3
+def _digit_sum(spec, *terms):
+    """Index whose base-p digits are the sums of those of the (sign, index) terms, mod p."""
+    p = spec.p
+    return sum(sum(s * (k // p ** i % p) for s, k in terms) % p * p ** i for i in range(spec.n))
+
+
+# At n >= 2 the differences go through the digit tables; each delta has a
+# non-zero top digit, so (c1p - c1) + delta makes a second table call.
+@pytest.mark.parametrize("spec, pair, delta", [
+    (GF3, (2, 1), 1),
+    (FieldSpec(3, 5), (200, 97), 2 * 3 ** 4 + 40),
+    (FieldSpec(11, 5), (150_000, 9_999), 7 * 11 ** 4 + 1_234),
+    (FieldSpec(1021, 2), (1_000_000, 123_456), 1_020 * 1_021 + 5),
+], ids=["3^1", "3^5", "11^5", "1021^2"])
+def test_round_records_have_consistent_algebra(spec, pair, delta):
     config = SessionConfig(field=spec, rounds=300, check_fraction=0.5,
-                           pair_label=(2, 1), delta_offset=1, seed=11)
-    b_idx, c_idx = 2, 1
+                           pair_label=pair, delta_offset=delta, seed=11)
+    b_idx, c_idx = pair
     for rec in session_records(config):
-        b1 = spec.from_index(rec.b1)
         if rec.kind == "message":
             assert rec.decoded == rec.bit_sent
             if rec.bit_sent == 1:
-                expect = spec.from_index(rec.c1p) - spec.from_index(rec.c1) + spec.from_index(1)
-                assert rec.lam == expect.index
+                assert rec.lam == _digit_sum(spec, (1, rec.c1p), (-1, rec.c1), (1, delta))
         else:
-            assert rec.check_b2 == (spec.from_index(b_idx) - b1).index
-            assert rec.check_expected == (spec.from_index(c_idx) - spec.from_index(rec.c1)).index
+            assert rec.check_b2 == _digit_sum(spec, (1, b_idx), (-1, rec.b1))
+            assert rec.check_expected == _digit_sum(spec, (1, c_idx), (-1, rec.c1))
             assert rec.check_passed
 
 
