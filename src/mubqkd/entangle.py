@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import FieldSpec, GfElem, index_add, index_arrays
+from .gf import FieldSpec, GfElem, index_add
 from .hilbert import apply_diag_phase, sample_index
-from .mub import basis_matrix, mub_state
+from .mub import basis_matrix, exponents, mub_state
 
 
 def _check_pair_basis(spec: FieldSpec, b: int):
@@ -44,9 +44,7 @@ def measure_first(spec: FieldSpec, state: np.ndarray, b1: int, rng) -> tuple[int
     d = spec.d
     mat = basis_matrix(spec, b1)
     proj = mat.conj() @ state.reshape(d, d)   # row k: remote branch for outcome k
-    probs = np.einsum("ij,ij->i", proj, proj.conj()).real
-    probs /= probs.sum()
-    k = sample_index(probs, rng)
+    k = sample_index(np.einsum("ij,ij->i", proj, proj.conj()).real, rng)
     w = proj[k]
     return k, w / np.linalg.norm(w)
 
@@ -58,8 +56,7 @@ def shift_remote(state: np.ndarray, lam: GfElem) -> np.ndarray:
     the field.
     """
     spec = lam.field
-    digits, form, _ = index_arrays(spec)
-    expo = digits[lam.index] @ form @ digits.T % spec.p      # tr(lam * n) for each n
+    expo = exponents(spec, 0, lam.index)        # tr(lam * n) for each n
     phases = np.exp(2j * np.pi * expo / spec.p)
     return apply_diag_phase(state, phases)
 
@@ -83,9 +80,7 @@ def joint_c_measure(spec: FieldSpec, state, b: int, rng) -> tuple[int | None, np
     probs = np.abs(amps) ** 2
     total = float(np.vdot(psi, psi).real)
     p_comp = max(total - float(probs.sum()), 0.0)
-    cells = np.append(probs, p_comp)
-    cells /= cells.sum()
-    k = sample_index(cells, rng)
+    k = sample_index(np.append(probs, p_comp), rng)
     if k < d:
         post = np.zeros(d * d, dtype=complex)
         post[diag] = rows[k] * (amps[k] / abs(amps[k]))
@@ -97,7 +92,9 @@ def joint_c_measure(spec: FieldSpec, state, b: int, rng) -> tuple[int | None, np
 
 def exponent_additivity_check(spec: FieldSpec, b1: int, c1: int, b2: int, c2: int) -> bool:
     """Phase factors of (b1+b2, c1+c2) equal the product of the two factors
-    at every position n."""
+    at every position n.  b1 and b2 must be pair basis indices in [0, d)."""
+    _check_pair_basis(spec, b1)
+    _check_pair_basis(spec, b2)
     root_d = np.sqrt(spec.d)
     f1 = mub_state(spec, b1, c1) * root_d
     f2 = mub_state(spec, b2, c2) * root_d

@@ -9,14 +9,13 @@ Addition is digit-wise mod p on indices: for n >= 2 an index splits into
 chunks of h = n // 2 base-p digits, and each pair of chunks is looked up in
 the add or sub table of FieldSpec.digit_tables (p^(2h) <= d entries each);
 d <= p^(3h), so a sum costs three lookups whatever n is.
-Products and the trace work on coefficients.  Phases need only tr(a*b),
-which index_arrays gives as digits[a] @ form @ digits[b] mod p through the
-n x n trace form.  index_arrays builds no GfElem: form[i, j] = tr(x^(i+j))
-comes from the remainders of x^0 .. x^(3n-3) by the modulus, as the
-trace of multiplication by x^(i+j) on the basis 1, x, ..., x^(n-1).
-squares, the index of k * k, sums digits[k, i] * (digits[k] @ prod_digits[i])
-over i, where prod_digits[i, j] holds the coefficients of x^(i+j), by n
-small matmuls on one block of rows at a time.
+Products and the trace work on coefficients.  Phases need only traces of
+products, which index_arrays gives through the digits of each index and
+the n x n x n tensor traces[l, i, j] = tr(x^(l+i+j)): tr(a*b) and
+tr(b*k^2) are quadratic forms in the digits.  index_arrays builds no
+GfElem: tr(x^k) comes from the remainders of x^0 .. x^(4n-4) by the
+modulus, as the trace of multiplication by x^k on the basis 1, x, ...,
+x^(n-1).
 The default modulus is the first monic irreducible in a fixed scan order;
 is_irreducible rejects a root in GF(p) and then applies Ben-Or's test,
 gcd(f, x^(p^i) - x) = 1 for 2 <= i <= n/2, rather than trial division.
@@ -342,50 +341,29 @@ class GfElem:
 # Arithmetic on canonical element indices.
 # ---------------------------------------------------------------------------
 
-# Rows of digits that index_arrays squares at a time.
-_SQUARE_ROWS = 4096
-
-
 @lru_cache(maxsize=None)
 def index_arrays(spec: FieldSpec):
-    """Read-only (digits, form, squares), O(d * n) in all: the n base-p digits
-    of each index, the trace form form[i, j] = tr(x^i * x^j), and the index of
-    k * k for each k.  tr(a * b) is digits[a] @ form @ digits[b] % p.
+    """Read-only (digits, traces): the n base-p digits of each index, a
+    (d, n) array, and the n x n x n trace tensor traces[l, i, j] =
+    tr(x^(l+i+j)).  tr is linear, so tr(a * b) is digits[a] @ traces[0] @
+    digits[b] and tr(b * k^2) is digits[k] @ (digits[b] @ traces) @ digits[k],
+    both mod p.
 
-    Built from the coefficients of x^0 .. x^(3n-3), each reduced by the
+    Built from the coefficients of x^0 .. x^(4n-4), each reduced by the
     monic modulus.  tr(x^k) is the trace of "multiply by x^k", which sends
-    x^i to x^(i+k): the sum over i of coefficient i of x^(i+k).
-    The form is the Hankel matrix of tr(x^0) .. tr(x^(2n-2)), and x^i * x^j
-    has the coefficients of x^(i+j), prod_digits[i, j].  The digits of k * k
-    are then the sum over i of digits[k, i] * (digits[k] @ prod_digits[i])
-    mod p: n int64 matmuls per block of _SQUARE_ROWS rows, into two block
-    buffers, so the build holds digits plus O(n) per block row."""
+    x^i to x^(i+k): the sum over i of coefficient i of x^(i+k)."""
     p, n, mod = spec.p, spec.n, spec.modulus
-    place = np.array([p ** i for i in range(n)])
-    digits = np.arange(spec.d)[:, None] // place
+    digits = np.arange(spec.d)[:, None] // np.array([p ** i for i in range(n)])
     digits %= p
     powers = [[1] + [0] * (n - 1)]
-    for _ in range(3 * n - 3):                # x^(k+1) = x * x^k, less top * modulus
+    for _ in range(4 * n - 4):                # x^(k+1) = x * x^k, less top * modulus
         top = powers[-1][-1]
         powers.append([(c - top * m) % p for c, m in zip([0] + powers[-1][:-1], mod)])
-    traces = [sum(powers[i + k][i] for i in range(n)) % p for k in range(2 * n - 1)]
-    form = np.array([traces[i:i + n] for i in range(n)])
-    prod_digits = np.array([powers[i:i + n] for i in range(n)])
-    squares = np.empty(spec.d, dtype=np.int64)
-    for lo in range(0, spec.d, _SQUARE_ROWS):
-        rows = digits[lo:lo + _SQUARE_ROWS]
-        acc = rows @ prod_digits[0]
-        acc *= rows[:, :1]
-        buf = np.empty_like(rows)
-        for i in range(1, n):
-            np.matmul(rows, prod_digits[i], out=buf)
-            buf *= rows[:, i, None]
-            acc += buf
-        acc %= p
-        np.matmul(acc, place, out=squares[lo:lo + _SQUARE_ROWS])
-    for t in (digits, form, squares):
+    tr = [sum(powers[i + k][i] for i in range(n)) % p for k in range(3 * n - 2)]
+    traces = np.array([[tr[l + i:l + i + n] for i in range(n)] for l in range(n)])
+    for t in (digits, traces):
         t.setflags(write=False)
-    return digits, form, squares
+    return digits, traces
 
 
 def chunkwise(q: int, table, a: int, b: int) -> int:

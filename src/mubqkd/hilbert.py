@@ -45,11 +45,18 @@ def tensor(u, v) -> np.ndarray:
     return np.kron(as_state(u), as_state(v))
 
 
-def sample_index(probs: np.ndarray, rng) -> int:
-    """Draw an index from a probability vector using one uniform variate."""
-    cum = np.cumsum(probs)
+def sample_index(weights: np.ndarray, rng) -> int:
+    """Draw an index with probability proportional to the non-negative
+    weights, using one uniform variate.
+
+    ValueError if the weights sum to zero or to a non-finite value: the
+    Born weights of a zero or non-finite state."""
+    total = weights.sum()
+    if not (np.isfinite(total) and total > 0):
+        raise ValueError(f"Born weights sum to {total}; the state has no finite nonzero norm")
+    cum = np.cumsum(weights / total)
     k = int(np.searchsorted(cum, rng.random(), side="right"))
-    return min(k, len(probs) - 1)
+    return min(k, len(weights) - 1)
 
 
 def born_sample(state, basis, rng) -> tuple[int, np.ndarray]:
@@ -68,9 +75,7 @@ def born_sample(state, basis, rng) -> tuple[int, np.ndarray]:
     if float(np.max(np.abs(gram - np.eye(d)))) > BASIS_TOL:
         raise ValueError("basis is not orthonormal")
     amps = mat.conj() @ state
-    probs = np.abs(amps) ** 2
-    probs /= probs.sum()
-    k = sample_index(probs, rng)
+    k = sample_index(np.abs(amps) ** 2, rng)
     return k, mat[k].copy()
 
 

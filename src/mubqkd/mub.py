@@ -4,9 +4,10 @@ A basis is named by its canonical index.  Each b in [0, d) is the
 quadratic-phase basis whose state c carries amplitude
 omega^tr(b*n^2 + c*n) / sqrt(d) at position n, with omega = exp(2*pi*i/p)
 and b, c, n element indices; the trace is additive, so the exponent is
-tr(b*n^2) + tr(c*n) mod p, both read off the field's trace form.  Index d
+tr(b*n^2) + tr(c*n) mod p, a quadratic and a linear form in the digits of
+n read off the field's trace tensor; exponents is that one integer rule.  Index d
 is the computational basis, whose state c sits at position c; it completes
-the set to the maximal count of d+1.  A state is built alone, in O(d * n).
+the set to the maximal count of d+1.  A state is built alone, in O(d * n^2).
 Basis matrices are cached per (field, basis index) for the callers that
 measure in whole bases again and again: measure_first, joint_c_measure, the
 dense reference round and the unbiasedness audit.
@@ -33,14 +34,28 @@ def _check_label(spec: FieldSpec, basis: int, c: int = 0):
         raise ValueError(f"state index {c} outside [0, {d})")
 
 
+def exponents(spec: FieldSpec, basis: int, c) -> np.ndarray:
+    """tr(b*n^2 + c*n) mod p for b = basis at each position n: a d-vector
+    for an index c, one row per entry of an index array c.
+
+    basis must be a quadratic basis index in [0, d), and c must lie in [0, d)."""
+    if not 0 <= operator.index(basis) < spec.d:
+        raise ValueError(f"quadratic basis index {basis} outside [0, {spec.d})")
+    c = np.asarray(c)
+    bad = c[(c < 0) | (c >= spec.d)]
+    if bad.size:
+        raise ValueError(f"state index {bad[0]} outside [0, {spec.d})")
+    digits, traces = index_arrays(spec)
+    tr_bn2 = (digits @ (digits[basis] @ traces) * digits).sum(axis=1)  # tr(b * n^2)
+    tr_cn = digits[c] @ traces[0] @ digits.T     # row c, column n: tr(c * n)
+    return (tr_cn + tr_bn2) % spec.p
+
+
 def _quadratic_rows(spec: FieldSpec, basis: int, c) -> np.ndarray:
     """Row c of quadratic basis `basis`, or one row per entry of an index array c."""
-    digits, form, squares = index_arrays(spec)
-    tr_bn2 = (digits @ (form @ digits[basis]))[squares]  # tr(b * m) at m = n^2, for each n
-    tr_cn = digits[c] @ form @ digits.T     # row c, column n: tr(c * n)
     # the p phases, each computed as the whole row would compute it
     phases = np.exp(2j * np.pi * np.arange(spec.p) / spec.p) / np.sqrt(spec.d)
-    return phases[(tr_cn + tr_bn2) % spec.p]
+    return phases[exponents(spec, basis, c)]
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,7 @@ from mubqkd.gf import FieldSpec
 from mubqkd.hilbert import (apply_diag_phase, as_state, basis_state, born_sample, inner,
                             project_first, swap_test, tensor)
 from mubqkd.mub import basis_matrix, mub_state
-from mubqkd.entangle import entangled_mub, joint_c_measure
+from mubqkd.entangle import entangled_mub, exponent_additivity_check, joint_c_measure, measure_first
 from mubqkd.phasespace import dwigner2_support
 
 GF3 = FieldSpec(3, 1)
@@ -213,9 +213,20 @@ def test_swap_test_rejects_unnormalized():
     (lambda rng: joint_c_measure(GF3, basis_state(3, 0), 0, rng), r"state has shape \(3,\)"),
     (lambda rng: dwigner2_support(basis_state(5, 0)), "must have a square dimension"),
     (lambda rng: GF3.from_index(2) ** -1, "negative exponents"),
+    (lambda rng: born_sample(np.zeros(3), np.eye(3), rng), "Born weights sum to 0"),
+    (lambda rng: born_sample(np.full(3, np.nan), np.eye(3), rng), "Born weights sum to nan"),
+    (lambda rng: measure_first(GF3, np.zeros(9), 0, rng), "Born weights sum to 0"),
+    (lambda rng: measure_first(GF3, np.full(9, np.nan), 0, rng), "Born weights sum to nan"),
+    (lambda rng: joint_c_measure(GF3, np.zeros(9), 0, rng), "Born weights sum to 0"),
+    (lambda rng: joint_c_measure(GF3, np.full(9, np.nan), 0, rng), "Born weights sum to nan"),
+    (lambda rng: exponent_additivity_check(FieldSpec(3, 2), 9, 0, 0, 0), "pair basis index 9"),
+    (lambda rng: exponent_additivity_check(FieldSpec(3, 2), 0, 0, 9, 0), "pair basis index 9"),
 ], ids=["as_state-ndim", "born_sample-basis-shape", "apply_diag_phase-shape",
         "swap_test-dims", "joint_c_measure-shape", "dwigner2_support-non-square",
-        "GfElem-pow-negative"])
+        "GfElem-pow-negative", "born_sample-zero-state", "born_sample-nan-state",
+        "measure_first-zero-state", "measure_first-nan-state", "joint_c_measure-zero-state",
+        "joint_c_measure-nan-state", "exponent_additivity-computational-b1",
+        "exponent_additivity-computational-b2"])
 def test_malformed_input_is_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call(np.random.default_rng(0))

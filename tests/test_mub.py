@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mubqkd.gf import FieldSpec
-from mubqkd.mub import basis_matrix, mub_state, unbiasedness_report
+from mubqkd.mub import basis_matrix, exponents, mub_state, unbiasedness_report
 
 GF3 = FieldSpec(3, 1)
 GF5 = FieldSpec(5, 1)
@@ -110,7 +110,7 @@ def test_basis_matrix_is_read_only():
 
 
 @pytest.mark.parametrize("spec", [GF3, GF9, FieldSpec(3, 2, (2, 1, 1)), FieldSpec(5, 2),
-                                  FieldSpec(3, 3)])
+                                  FieldSpec(3, 3), FieldSpec(3, 3, (2, 2, 0, 1))])
 def test_basis_matrix_equals_trace_of_element_arithmetic(spec):
     elems = spec.elements()
     tr = {e: e.trace() for e in elems}
@@ -118,3 +118,15 @@ def test_basis_matrix_equals_trace_of_element_arithmetic(spec):
         expo = np.array([[tr[b * n * n + c * n] for n in elems] for c in elems])
         expected = np.exp(2j * np.pi * expo / spec.p) / np.sqrt(spec.d)
         assert np.array_equal(basis_matrix(spec, b.index), expected)
+        assert np.array_equal(exponents(spec, b.index, np.arange(spec.d)), expo)
+        assert np.array_equal(exponents(spec, b.index, spec.d - 1), expo[-1])
+
+
+@pytest.mark.parametrize("basis, c, message", [
+    (9, 0, "quadratic basis index 9 outside"), (-1, 0, "quadratic basis index -1 outside"),
+    (0, 9, "state index 9 outside"), (0, -1, "state index -1 outside"),
+    (0, [0, 9], "state index 9 outside"), (0, [-1, 3], "state index -1 outside"),
+])
+def test_exponents_refuse_labels_outside_the_field(basis, c, message):
+    with pytest.raises(ValueError, match=message):
+        exponents(GF9, basis, c)
