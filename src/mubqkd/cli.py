@@ -201,9 +201,8 @@ def cmd_wigner(args) -> int:
     if args.n not in (None, 1):
         raise ValueError("Wigner tables are defined for prime dimension only (n = 1)")
     spec = _field_from_args(args)
-    d = spec.d
-    if not 0 <= args.b < d or not 0 <= args.c < d:
-        raise ValueError(f"--b and --c must lie in [0, {d})")
+    spec.check_index(args.b, "--b")
+    spec.check_index(args.c, "--c")
     header = "q1,p1,q2,p2,value" if args.pair else "q,p,value"
     _emit(header, _wigner_rows(spec, args.b, args.c, args.pair), args.out)
     return 0

@@ -16,16 +16,18 @@ from .hilbert import apply_diag_phase, sample_index
 from .mub import basis_matrix, exponents, mub_state
 
 
-def _check_pair_basis(spec: FieldSpec, b: int):
-    """ValueError if b is the computational basis index d, which labels no pair."""
-    if b == spec.d:
-        raise ValueError(f"pair basis index {b} is the computational basis; pairs take [0, {spec.d})")
+def _pair_state(spec: FieldSpec, state) -> np.ndarray:
+    """state as a complex d^2-vector, or ValueError naming its shape."""
+    psi = np.asarray(state, dtype=complex)
+    if psi.shape != (spec.d ** 2,):
+        raise ValueError(f"state has shape {psi.shape}, expected ({spec.d ** 2},)")
+    return psi
 
 
 def entangled_mub(spec: FieldSpec, b: int, c: int) -> np.ndarray:
     """Two-particle state of C^d x C^d, supported on the diagonal n1 == n2,
     with the amplitudes of the (b, c) MUB state."""
-    _check_pair_basis(spec, b)
+    spec.check_index(b, "pair basis index")
     d = spec.d
     single = mub_state(spec, b, c)
     state = np.zeros(d * d, dtype=complex)
@@ -43,7 +45,7 @@ def measure_first(spec: FieldSpec, state: np.ndarray, b1: int, rng) -> tuple[int
     """
     d = spec.d
     mat = basis_matrix(spec, b1)
-    proj = mat.conj() @ state.reshape(d, d)   # row k: remote branch for outcome k
+    proj = mat.conj() @ _pair_state(spec, state).reshape(d, d)   # row k: branch of outcome k
     k = sample_index(np.einsum("ij,ij->i", proj, proj.conj()).real, rng)
     w = proj[k]
     return k, w / np.linalg.norm(w)
@@ -69,11 +71,9 @@ def joint_c_measure(spec: FieldSpec, state, b: int, rng) -> tuple[int | None, np
     c is None for the complement outcome, which only occurs for states
     with off-diagonal support.  b must be a pair basis index in [0, d).
     """
-    _check_pair_basis(spec, b)
+    spec.check_index(b, "pair basis index")
     d = spec.d
-    psi = np.asarray(state, dtype=complex)
-    if psi.shape != (d * d,):
-        raise ValueError(f"state has shape {psi.shape}, expected ({d * d},)")
+    psi = _pair_state(spec, state)
     rows = basis_matrix(spec, b)
     diag = np.arange(d) * (d + 1)
     amps = rows.conj() @ psi[diag]
@@ -93,8 +93,8 @@ def joint_c_measure(spec: FieldSpec, state, b: int, rng) -> tuple[int | None, np
 def exponent_additivity_check(spec: FieldSpec, b1: int, c1: int, b2: int, c2: int) -> bool:
     """Phase factors of (b1+b2, c1+c2) equal the product of the two factors
     at every position n.  b1 and b2 must be pair basis indices in [0, d)."""
-    _check_pair_basis(spec, b1)
-    _check_pair_basis(spec, b2)
+    spec.check_index(b1, "pair basis index")
+    spec.check_index(b2, "pair basis index")
     root_d = np.sqrt(spec.d)
     f1 = mub_state(spec, b1, c1) * root_d
     f2 = mub_state(spec, b2, c2) * root_d

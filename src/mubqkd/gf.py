@@ -230,6 +230,15 @@ class FieldSpec:
         built again on use (a memoryview cannot be pickled)."""
         return {k: v for k, v in self.__dict__.items() if k != "digit_tables"}
 
+    def check_index(self, k, what: str = "element index", top: int | None = None) -> int:
+        """k as a plain int, or ValueError naming it as `what` unless it lies in
+        [0, top); top defaults to d.  The one range rule for every label."""
+        k = operator.index(k)
+        top = self.d if top is None else top
+        if not 0 <= k < top:
+            raise ValueError(f"{what} {k} outside [0, {top})")
+        return k
+
     def element(self, coeffs) -> GfElem:
         """Element from coefficients (low-order first), reduced mod p and zero-padded."""
         coeffs = [int(c) % self.p for c in coeffs]
@@ -271,10 +280,7 @@ class GfElem:
     index: int
 
     def __post_init__(self):
-        k = operator.index(self.index)
-        if not 0 <= k < self.field.d:
-            raise ValueError(f"element index {k} outside [0, {self.field.d})")
-        object.__setattr__(self, "index", k)
+        object.__setattr__(self, "index", self.field.check_index(self.index))
 
     @property
     def coeffs(self) -> tuple[int, ...]:

@@ -22,6 +22,8 @@ def as_state(x) -> np.ndarray:
 
 
 def basis_state(dim: int, k: int) -> np.ndarray:
+    if not 0 <= k < dim:
+        raise ValueError(f"state index {k} outside [0, {dim})")
     e = np.zeros(dim, dtype=complex)
     e[k] = 1.0
     return e

@@ -9,13 +9,12 @@ n read off the field's trace tensor; exponents is that one integer rule.  Index 
 is the computational basis, whose state c sits at position c; it completes
 the set to the maximal count of d+1.  A state is built alone, in O(d * n^2).
 Basis matrices are cached per (field, basis index) for the callers that
-measure in whole bases again and again: measure_first, joint_c_measure, the
-dense reference round and the unbiasedness audit.
+measure in whole bases again and again: joint_c_measure, the dense reference
+round (through measure_first) and the unbiasedness audit.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,30 +24,21 @@ from .gf import FieldSpec, index_arrays
 from .hilbert import basis_state
 
 
-def _check_label(spec: FieldSpec, basis: int, c: int = 0):
-    """ValueError unless basis lies in [0, d] and c in [0, d)."""
-    d = spec.d
-    if not 0 <= operator.index(basis) <= d:
-        raise ValueError(f"basis index {basis} outside [0, {d}]")
-    if not 0 <= operator.index(c) < d:
-        raise ValueError(f"state index {c} outside [0, {d})")
-
-
 def exponents(spec: FieldSpec, basis: int, c) -> np.ndarray:
     """tr(b*n^2 + c*n) mod p for b = basis at each position n: a d-vector
     for an index c, one row per entry of an index array c.
 
     basis must be a quadratic basis index in [0, d), and c must lie in [0, d)."""
-    if not 0 <= operator.index(basis) < spec.d:
-        raise ValueError(f"quadratic basis index {basis} outside [0, {spec.d})")
+    basis = spec.check_index(basis, "quadratic basis index")
     c = np.asarray(c)
     bad = c[(c < 0) | (c >= spec.d)]
     if bad.size:
         raise ValueError(f"state index {bad[0]} outside [0, {spec.d})")
     digits, traces = index_arrays(spec)
-    tr_bn2 = (digits @ (digits[basis] @ traces) * digits).sum(axis=1)  # tr(b * n^2)
-    tr_cn = digits[c] @ traces[0] @ digits.T     # row c, column n: tr(c * n)
-    return (tr_cn + tr_bn2) % spec.p
+    expo = digits[c] @ traces[0] @ digits.T      # row c, column n: tr(c * n)
+    if basis:                                    # tr(b * n^2), zero at b = 0
+        expo = expo + (digits @ (digits[basis] @ traces) * digits).sum(axis=1)
+    return expo % spec.p
 
 
 def _quadratic_rows(spec: FieldSpec, basis: int, c) -> np.ndarray:
@@ -61,8 +51,8 @@ def _quadratic_rows(spec: FieldSpec, basis: int, c) -> np.ndarray:
 @lru_cache(maxsize=None)
 def basis_matrix(spec: FieldSpec, basis: int) -> np.ndarray:
     """Read-only (d, d) matrix whose row c is the state (basis, c)."""
-    _check_label(spec, basis)
     d = spec.d
+    spec.check_index(basis, "basis index", d + 1)
     mat = np.eye(d, dtype=complex) if basis == d else _quadratic_rows(spec, basis, np.arange(d))
     mat.setflags(write=False)
     return mat
@@ -70,7 +60,8 @@ def basis_matrix(spec: FieldSpec, basis: int) -> np.ndarray:
 
 def mub_state(spec: FieldSpec, basis: int, c: int) -> np.ndarray:
     """Normalized amplitude vector of the state labeled (basis, c), built alone."""
-    _check_label(spec, basis, c)
+    spec.check_index(basis, "basis index", spec.d + 1)
+    spec.check_index(c, "state index")
     return basis_state(spec.d, c) if basis == spec.d else _quadratic_rows(spec, basis, c)
 
 

@@ -101,7 +101,10 @@ def run_cv_round(bit: int, rng, b: float | None = None, c: float | None = None,
     draws them from rng.random(), so rng may be a Generator or a Draws.  The
     label algebra reproduces the same-basis delta correlation: the shifted
     second label matches the first exactly when lambda equals c1' - c1 + delta.
+    bit must be 0 or 1.
     """
+    if bit not in (0, 1):
+        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
     def uniform() -> float:
         return -10.0 + 20.0 * rng.random()
     if b is None:

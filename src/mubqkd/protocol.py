@@ -166,15 +166,14 @@ class SessionConfig:
             if isinstance(label, (Mapping, Set)) or not isinstance(label, Iterable):
                 raise ValueError(f"pair_label: expected a sequence, got {type(label).__name__}")
             label = [_json_check(x, int, f"pair_label[{i}]") for i, x in enumerate(label)]
-        # labels are canonical element indices, checked as GfElem checks them
+        # labels are canonical element indices
         with _at("delta_offset"):
-            object.__setattr__(self, "delta_offset", self.field.from_index(self.delta_offset).index)
+            object.__setattr__(self, "delta_offset", self.field.check_index(self.delta_offset))
         if label is not None:
             if len(label) != 2:
                 raise ValueError(f"pair_label: expected [b, c], got {len(label)} entries")
             with _at("pair_label"):
-                object.__setattr__(self, "pair_label",
-                                   tuple(self.field.from_index(k).index for k in label))
+                object.__setattr__(self, "pair_label", tuple(map(self.field.check_index, label)))
         if self.rounds < 1:
             raise ValueError(f"rounds: must be at least 1, got {self.rounds}")
         if not 0.0 <= self.check_fraction <= 1.0:
@@ -186,9 +185,8 @@ class SessionConfig:
         if self.seed < 0:
             raise ValueError(f"seed: expected a non-negative integer, got {self.seed}")
         if self.eve.kind == "intercept_resend" and self.eve.picker == "fixed":
-            if not 0 <= self.eve.fixed_basis <= self.field.d:
-                raise ValueError(f"eve.fixed_basis: basis index {self.eve.fixed_basis} "
-                                 f"outside [0, {self.field.d}]")
+            with _at("eve.fixed_basis"):
+                self.field.check_index(self.eve.fixed_basis, "basis index", self.field.d + 1)
 
     @cached_property
     def _plan(self) -> _RoundPlan:

@@ -21,7 +21,7 @@ from mubqkd.protocol import RoundRecord, SessionConfig
 ORACLE_MATCH_TOL = 1e-9
 
 
-def _alice_encode(spec: FieldSpec, bit: int, c1: int, c1p: int, delta: int, rng) -> int:
+def alice_encode(spec: FieldSpec, bit: int, c1: int, c1p: int, delta: int, rng) -> int:
     """Announcement index: the matching shift c1p - c1 + delta for bit 1,
     uniformly any of the d-1 other field values for bit 0."""
     match = index_add(spec, index_sub(spec, c1p, c1), delta)
@@ -31,8 +31,8 @@ def _alice_encode(spec: FieldSpec, bit: int, c1: int, c1p: int, delta: int, rng)
     return k + 1 if k >= match else k
 
 
-def _bob_decode(spec: FieldSpec, state2: np.ndarray, state2p: np.ndarray, lam: int,
-                mode: str, reps: int, rng) -> int:
+def bob_decode(spec: FieldSpec, state2: np.ndarray, state2p: np.ndarray, lam: int,
+               mode: str, reps: int, rng) -> int:
     """Shift the second state by lam and compare with the first.
 
     oracle mode decides from the exact overlap magnitude; swap mode runs
@@ -86,7 +86,7 @@ def run_round_dense(config: SessionConfig, round_index: int, rng) -> RoundRecord
         return RoundRecord(round_index, "check", None, None, b1, c1, c1p, eve_basis,
                            eve_outcome, None, b2, expected, measured, measured == expected)
     bit = int(rng.integers(2))
-    lam = _alice_encode(spec, bit, c1, c1p, delta, rng)
-    decoded = _bob_decode(spec, bob1, bob2, lam, config.mode, config.swap_repetitions, rng)
+    lam = alice_encode(spec, bit, c1, c1p, delta, rng)
+    decoded = bob_decode(spec, bob1, bob2, lam, config.mode, config.swap_repetitions, rng)
     return RoundRecord(round_index, "message", bit, lam, b1, c1, c1p, eve_basis, eve_outcome,
                        decoded, None, None, None, None)

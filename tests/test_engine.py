@@ -46,7 +46,7 @@ def test_label_round_matches_dense_round(spec, eve):
 
 @pytest.mark.parametrize("eve", list(EVES))
 @pytest.mark.parametrize("spec", [FieldSpec(7, 1), FieldSpec(3, 2)], ids=lambda s: f"d{s.d}")
-def test_label_round_on_draws_matches_dense_round(spec, eve):
+def test_dense_round_on_draws_matches_dense_round_on_generator(spec, eve):
     """The dense round on Draws plays the rounds it plays on numpy's
     Generator; test_label_round_matches_dense_round holds the label round
     to the latter."""

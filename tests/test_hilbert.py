@@ -9,7 +9,7 @@ from mubqkd.hilbert import (apply_diag_phase, as_state, basis_state, born_sample
                             project_first, swap_test, tensor)
 from mubqkd.mub import basis_matrix, mub_state
 from mubqkd.entangle import entangled_mub, exponent_additivity_check, joint_c_measure, measure_first
-from mubqkd.phasespace import dwigner2_support
+from mubqkd.phasespace import dwigner2_support, run_cv_round
 
 GF3 = FieldSpec(3, 1)
 OMEGA = np.exp(2j * np.pi / 3)
@@ -221,12 +221,20 @@ def test_swap_test_rejects_unnormalized():
     (lambda rng: joint_c_measure(GF3, np.full(9, np.nan), 0, rng), "Born weights sum to nan"),
     (lambda rng: exponent_additivity_check(FieldSpec(3, 2), 9, 0, 0, 0), "pair basis index 9"),
     (lambda rng: exponent_additivity_check(FieldSpec(3, 2), 0, 0, 9, 0), "pair basis index 9"),
+    (lambda rng: basis_state(3, -1), r"state index -1 outside \[0, 3\)"),
+    (lambda rng: basis_state(3, 3), r"state index 3 outside \[0, 3\)"),
+    (lambda rng: run_cv_round(7, rng), "bit must be 0 or 1"),
+    (lambda rng: measure_first(GF3, [1, 0, 0], 0, rng), r"state has shape \(3,\)"),
+    (lambda rng: measure_first(GF3, np.ones(3), 0, rng), r"state has shape \(3,\)"),
+    (lambda rng: entangled_mub(GF3, 5, 0), r"pair basis index 5 outside \[0, 3\)"),
 ], ids=["as_state-ndim", "born_sample-basis-shape", "apply_diag_phase-shape",
         "swap_test-dims", "joint_c_measure-shape", "dwigner2_support-non-square",
         "GfElem-pow-negative", "born_sample-zero-state", "born_sample-nan-state",
         "measure_first-zero-state", "measure_first-nan-state", "joint_c_measure-zero-state",
         "joint_c_measure-nan-state", "exponent_additivity-computational-b1",
-        "exponent_additivity-computational-b2"])
+        "exponent_additivity-computational-b2", "basis_state-negative", "basis_state-dim",
+        "run_cv_round-bit", "measure_first-list", "measure_first-shape",
+        "entangled_mub-basis-above-d"])
 def test_malformed_input_is_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call(np.random.default_rng(0))

@@ -22,7 +22,7 @@ from mubqkd.protocol import (_BLOCK_WORDS, Draws, EveStrategy, RoundRecord, Sess
                              _seed_state, eavesdropper_detected,
                              session_records, session_summary, summarize)
 
-from dense_round import _alice_encode, _bob_decode
+from dense_round import alice_encode, bob_decode
 
 GF3 = FieldSpec(3, 1)
 GF7 = FieldSpec(7, 1)
@@ -38,7 +38,7 @@ JSONL_FIELDS = ["round", "kind", "bit_sent", "lambda", "b1", "c1", "c1p",
 
 def test_alice_encode_bit_one_example():
     rng = np.random.default_rng(0)
-    lam = _alice_encode(GF3, 1, 2, 0, 0, rng)
+    lam = alice_encode(GF3, 1, 2, 0, 0, rng)
     assert lam == 1          # 0 - 2 = 1 mod 3
 
 
@@ -47,7 +47,7 @@ def test_alice_encode_bit_zero_never_matches():
     for c1, c1p, delta in itertools.product(range(3), repeat=3):
         match = (c1p - c1 + delta) % 3
         for _ in range(30):
-            assert _alice_encode(GF3, 0, c1, c1p, delta, rng) != match
+            assert alice_encode(GF3, 0, c1, c1p, delta, rng) != match
 
 
 def test_alice_encode_bit_zero_uniform():
@@ -58,7 +58,7 @@ def test_alice_encode_bit_zero_uniform():
     counts = np.zeros(7)
     n = 6000
     for _ in range(n):
-        counts[_alice_encode(spec, 0, c1, c1p, delta, rng)] += 1
+        counts[alice_encode(spec, 0, c1, c1p, delta, rng)] += 1
     assert counts[match] == 0
     sigma = np.sqrt((1 / 6) * (5 / 6) / n)
     others = np.delete(counts, match) / n
@@ -70,16 +70,16 @@ def test_bob_decode_matching_lambda():
     state2 = mub_state(GF3, 1, 2)
     state2p = mub_state(GF3, 1, 0)
     lam = 2        # shifts c = 0 to c = 2
-    assert _bob_decode(GF3, state2, state2p, lam, "oracle", 1, rng) == 1
+    assert bob_decode(GF3, state2, state2p, lam, "oracle", 1, rng) == 1
     for _ in range(50):
-        assert _bob_decode(GF3, state2, state2p, lam, "swap", 1, rng) == 1
+        assert bob_decode(GF3, state2, state2p, lam, "swap", 1, rng) == 1
 
 
 def test_bob_decode_wrong_lambda_oracle():
     rng = np.random.default_rng(4)
     state2 = mub_state(GF3, 1, 2)
     state2p = mub_state(GF3, 1, 0)
-    assert _bob_decode(GF3, state2, state2p, 1, "oracle", 1, rng) == 0
+    assert bob_decode(GF3, state2, state2p, 1, "oracle", 1, rng) == 0
 
 
 def test_bob_decode_wrong_lambda_swap_statistics():
@@ -88,7 +88,7 @@ def test_bob_decode_wrong_lambda_swap_statistics():
     state2p = mub_state(GF3, 1, 0)
     lam = 0
     n = 2000
-    zeros = sum(_bob_decode(GF3, state2, state2p, lam, "swap", 1, rng) == 0 for _ in range(n))
+    zeros = sum(bob_decode(GF3, state2, state2p, lam, "swap", 1, rng) == 0 for _ in range(n))
     sigma = np.sqrt(0.25 / n)
     assert abs(zeros / n - 0.5) < 3 * sigma
 
