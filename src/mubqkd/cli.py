@@ -1,10 +1,11 @@
 """Command-line front end: invariant verification, basis and Wigner dumps,
 and protocol sessions with persisted transcripts.
 
-Exit codes: 0 success, 1 invariant failure, 2 usage or config error or a
-refused allocation (MemoryError), 3 eavesdropper detected (a check round
-failed), 141 (128 + SIGPIPE) stdout closed by its reader, with nothing on
-stderr.
+Exit codes: 0 success, 1 invariant failure, 2 usage or config error, a
+refused allocation (MemoryError) or a failed open, write or close of a file
+that a flag names (its error names the flag; a named pipe's too), 3
+eavesdropper detected (a check round failed), 141 (128 + SIGPIPE) stdout
+closed by its reader, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -47,12 +48,21 @@ def _flag_int(flag: str, what: str, text: str) -> int:
         raise ValueError(f"{flag}: {what} must be an integer, got {text!r}") from None
 
 
-def _open(flag: str, path: str, mode: str = "r", **kwargs):
-    """open(path, mode, **kwargs); an OSError's message starts with flag."""
+@contextlib.contextmanager
+def _flag(flag: str):
+    """Prefix the message of an OSError raised inside with flag.  A
+    BrokenPipeError becomes a plain OSError, so a named file's closed pipe
+    exits 2 like any failed write; only stdout's exits 141."""
     try:
-        return open(path, mode, **kwargs)
+        yield
     except OSError as exc:
         raise OSError(f"{flag}: {exc}") from None
+
+
+def _open(flag: str, path: str, mode: str = "r", **kwargs):
+    """open(path, mode, **kwargs); an OSError's message starts with flag."""
+    with _flag(flag):
+        return open(path, mode, **kwargs)
 
 
 def _field_config(args) -> dict:
@@ -159,8 +169,10 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _emit(header: str, rows, path):
-    """Write the header, then each row as it arrives, to path or stdout."""
-    with _open("--out", path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+    """Write the header, then each row as it arrives, to path or stdout; an
+    OSError from opening, writing or closing path names --out."""
+    with _flag("--out") if path else contextlib.nullcontext(), \
+            open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(row + "\n")
@@ -263,10 +275,12 @@ def _session_config(args) -> SessionConfig:
 
 
 def _written(records, fh):
-    """records, each written to fh as its JSON line on the way through."""
-    for rec in records:
-        fh.write(rec.to_jsonl())
-        yield rec
+    """records, each written to fh, the --out file, as its JSON line on the
+    way through."""
+    with _flag("--out"):
+        for rec in records:
+            fh.write(rec.to_jsonl())
+            yield rec
 
 
 @contextlib.contextmanager
@@ -277,13 +291,15 @@ def _opened(paths):
     a pipe or terminal where their buffers would interleave.  So is one on
     the regular file that stdout writes to.  If a file cannot be opened or
     is refused, none is truncated, the ones this call created are removed,
-    and the error names the path's flag: every file stays as it was."""
+    and the error names the path's flag: every file stays as it was.  An
+    OSError from closing a file names its flag too."""
     with contextlib.ExitStack() as stack:
         files, created = [], []
         try:
             for flag, path in paths.items():
                 new = not os.path.lexists(path)
-                files.append(stack.enter_context(_open(flag, path, "a")))
+                files.append(fh := _open(flag, path, "a"))
+                stack.callback(_flag(flag)(fh.close))   # a failed close names flag
                 if new:
                     created.append(path)
             stats = dict(zip(paths, (os.fstat(fh.fileno()) for fh in files)))
@@ -318,7 +334,8 @@ def cmd_session(args) -> int:
     with _opened(paths) as (*out, stats):
         records = session_records(config)
         s = session_summary(config, _written(records, out[0]) if out else records)
-        stats.write(json.dumps(s, indent=2) + "\n")
+        with _flag("--stats"):
+            stats.write(json.dumps(s, indent=2) + "\n")
 
     def fmt(x):
         return "n/a" if x is None else f"{x:.6f}"

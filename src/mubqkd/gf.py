@@ -311,14 +311,10 @@ class GfElem:
     def __pow__(self, e: int) -> GfElem:
         if e < 0:
             raise ValueError("negative exponents are not supported; use inverse()")
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        spec = self.field
+        if not e:
+            return spec.one()
+        return spec.element(_poly_pow_mod(list(self.coeffs), e, spec.modulus, spec.p))
 
     def inverse(self) -> GfElem:
         """Multiplicative inverse via a^(d-2); the unit group has order d-1."""

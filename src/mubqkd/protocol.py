@@ -121,26 +121,6 @@ class EveStrategy:
             return cls(**values)
 
 
-@dataclass(frozen=True, slots=True)
-class _RoundPlan:
-    """What every round of a session reads, worked out once from its config
-    (SessionConfig._plan): the field and its size, and the config's values
-    in the form a round uses them."""
-
-    field: FieldSpec
-    d: int
-    q: int                      # chunk size of field.digit_tables; 0 at n = 1,
-                                # where d = p and sums are mod d
-    pair: tuple[int, int] | None
-    delta: int
-    check_fraction: float
-    eve: bool                   # an intercept-resend eavesdropper
-    eve_basis: int | None       # her fixed basis; None: drawn each round
-    eve_high: int               # her drawn basis is integers(eve_high): d quadratic, d + 1 all
-    swap: bool
-    reps: int
-
-
 @dataclass(frozen=True)
 class SessionConfig:
     """Parameters of one protocol session; validated on construction."""
@@ -189,18 +169,23 @@ class SessionConfig:
                 self.field.check_index(self.eve.fixed_basis, "basis index", self.field.d + 1)
 
     @cached_property
-    def _plan(self) -> _RoundPlan:
-        """The round plan, built on first use and kept on the instance.  Not
-        part of equality, hashing, repr or to_json."""
-        spec, eve = self.field, self.eve
-        d = spec.d
-        return _RoundPlan(
-            field=spec, d=d, q=spec.digit_tables[0] if spec.n > 1 else 0,
-            pair=self.pair_label, delta=self.delta_offset, check_fraction=self.check_fraction,
-            eve=eve.kind == "intercept_resend",
-            eve_basis=eve.fixed_basis if eve.picker == "fixed" else None,
-            eve_high=d if eve.picker == "uniform_quadratic" else d + 1,
-            swap=self.mode == "swap", reps=self.swap_repetitions)
+    def _plan(self) -> tuple:
+        """What every round reads, worked out once and kept on the instance;
+        not part of equality, hashing, repr or to_json.  The tuple (field, d,
+        q, pair, delta, check_fraction, eve, eve_basis, eve_high, swap, reps):
+        the field, not its tables, so a config pickles after a session; d; q,
+        the chunk size of field.digit_tables, 0 at n = 1, where sums are mod d;
+        pair_label, delta_offset, check_fraction; eve, whether an intercept-
+        resend eavesdropper listens; eve_basis, her fixed basis, else None;
+        eve_high, the bound of her drawn basis integers(eve_high), d quadratic
+        or d + 1 all; swap, whether Bob compares by swap tests; reps of them."""
+        spec, eve, d = self.field, self.eve, self.field.d
+        listens = eve.kind == "intercept_resend"
+        return (spec, d, spec.digit_tables[0] if spec.n > 1 else 0, self.pair_label,
+                self.delta_offset, self.check_fraction, listens,
+                eve.fixed_basis if listens and eve.picker == "fixed" else None,
+                d if eve.picker == "uniform_quadratic" else d + 1,
+                self.mode == "swap", self.swap_repetitions)
 
     def to_json(self) -> dict:
         """The config document, its keys in field order."""
@@ -472,34 +457,31 @@ def run_round(config: SessionConfig, round_index: int, rng: Draws) -> RoundRecor
     draws.  Bob's two particles always share a basis, so comparing them is
     comparing their c labels: equal states have overlap 1, others 0.
 
-    The round reads its config's round plan, built once (SessionConfig._plan),
-    so it costs its draws, the largest share; a few integer operations on
-    canonical indices, three table lookups per sum or difference at n >= 2;
-    and one positional RoundRecord.
+    The round unpacks its config's plan tuple, built once (SessionConfig._plan
+    gives each entry's meaning), so it costs its draws, the largest share; a
+    few integer operations on canonical indices, three table lookups per sum
+    or difference at n >= 2; and one positional RoundRecord.
     """
-    plan = config._plan
-    d, q = plan.d, plan.q
+    field, d, q, pair, delta, check_fraction, eve, eve_basis, eve_high, swap, reps = config._plan
     integers, outcome, random = rng.integers, rng.outcome, rng.random
-    b, c = (integers(d), integers(d)) if plan.pair is None else plan.pair
-    delta = plan.delta
+    b, c = (integers(d), integers(d)) if pair is None else pair
 
     # Alice's outcomes are uniform in every basis; Bob's particles collapse
     # to (b2, expected) = (b - b1, c - c1) and (b2, c - delta - c1p).
     b1, c1, c1p = integers(d), outcome(d), outcome(d)
     if q:
-        _, add, sub = plan.field.digit_tables
+        _, add, sub = field.digit_tables
         b2 = chunkwise(q, sub, b, b1)
         expected = chunkwise(q, sub, c, c1)
     else:
         b2, expected = (b - b1) % d, (c - c1) % d
 
     # Eve measuring in Bob's basis b2 leaves his particles as they were
-    eve_basis = eve_outcome = None
+    eve_outcome = None
     undisturbed = True
-    if plan.eve:
-        eve_basis = plan.eve_basis
+    if eve:
         if eve_basis is None:
-            eve_basis = integers(plan.eve_high)
+            eve_basis = integers(eve_high)
         k1, k2 = outcome(d), outcome(d)
         undisturbed = eve_basis == b2
         eve_outcome = [k1, k2]
@@ -508,7 +490,7 @@ def run_round(config: SessionConfig, round_index: int, rng: Draws) -> RoundRecor
             eve_outcome = [expected, c2p]
 
     # duty assigned only after transit
-    if random() < plan.check_fraction:
+    if random() < check_fraction:
         u = outcome(d)
         measured = expected if undisturbed else u
         return RoundRecord(round_index, "check", None, None, b1, c1, c1p, eve_basis,
@@ -530,11 +512,11 @@ def run_round(config: SessionConfig, round_index: int, rng: Draws) -> RoundRecor
         agree = k1 == k2
     else:
         agree = (chunkwise(q, add, k2, lam) if q else (k2 + lam) % d) == k1
-    if plan.swap:
+    if swap:
         # a swap test is antisymmetric with probability (1 - overlap) / 2
         p_anti = 0.0 if agree else 0.5
         decoded = 1
-        for _ in range(plan.reps):
+        for _ in range(reps):
             if random() < p_anti:
                 decoded = 0
                 break

@@ -91,7 +91,7 @@ def test_session_digit_tables_fit_in_8_d_bytes():
     for n in range(1, int(math.log(limit, 3)) + 1):
         p = next(p for p in range(int(limit ** (1 / n)) + 1, 2, -1)
                  if p % 2 and gf.is_prime(p) and p ** n <= limit)
-        spec = SessionConfig(field=gf.FieldSpec(p, n), rounds=1)._plan.field
+        spec = SessionConfig(field=gf.FieldSpec(p, n), rounds=1)._plan[0]
         tables = spec.digit_tables[1:] if n > 1 else ()
         assert sum(t.nbytes for t in tables) <= 8 * spec.d
 
@@ -384,6 +384,47 @@ def test_path_errors_name_their_flag(tmp_path, capsys, monkeypatch, argv, flag, 
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {flag}: [Errno 2] No such file or directory: '{path}'\n"
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv, flag", [
+    (["bases", "--p", "3", "--out", "/dev/full"], "--out"),
+    (["wigner", "--p", "5", "--b", "1", "--c", "2", "--out", "/dev/full"], "--out"),
+    (["session", "--p", "7", "--rounds", "20", "--out", "/dev/full", "--stats", "s.json"], "--out"),
+    (["session", "--p", "7", "--rounds", "2000", "--out", "/dev/full", "--stats", "s.json"],
+     "--out"),
+    (["session", "--p", "7", "--rounds", "20", "--out", "t.jsonl", "--stats", "/dev/full"],
+     "--stats"),
+], ids=["bases-out", "wigner-out", "session-out-at-close", "session-out-mid-run",
+        "session-stats"])
+def test_output_errors_name_their_flag(tmp_path, capsys, monkeypatch, argv, flag):
+    """A write or close that fails on a named output file exits 2 with an
+    error that starts with its flag; 20 rounds fail at the close, 2000 in
+    the run."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {flag}: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_out_pipe_closed_by_its_reader_names_its_flag(tmp_path):
+    """A named --out pipe whose reader leaves early is a failed write, exit
+    2 naming --out; the silent 141 is stdout's alone."""
+    fifo = tmp_path / "t.fifo"
+    os.mkfifo(fifo)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mubqkd.__file__))}
+    reader = subprocess.Popen([sys.executable, "-c",
+                               "import sys; open(sys.argv[1], 'rb').read(100)", str(fifo)])
+    try:
+        proc = subprocess.run([sys.executable, "-m", "mubqkd.cli", "session", "--p", "7",
+                               "--rounds", "20000", "--out", str(fifo),
+                               "--stats", str(tmp_path / "s.json")],
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        reader.kill()
+        reader.wait(timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, b"", b"error: --out: [Errno 32] Broken pipe\n")
 
 
 @pytest.mark.parametrize("flag", ["--out", "--stats"])

@@ -19,7 +19,7 @@ from mubqkd.mub import basis_matrix, mub_state
 from mubqkd.entangle import entangled_mub, measure_first
 from mubqkd.phasespace import run_cv_round
 from mubqkd.protocol import (_BLOCK_WORDS, Draws, EveStrategy, RoundRecord, SessionConfig,
-                             _seed_state, eavesdropper_detected,
+                             _seed_state, eavesdropper_detected, run_round,
                              session_records, session_summary, summarize)
 
 from dense_round import alice_encode, bob_decode
@@ -344,6 +344,20 @@ def test_round_plan_is_no_part_of_the_config():
     twin = SessionConfig.from_json(cfg.to_json())
     assert cfg == twin and hash(cfg) == hash(twin)
     assert "_plan" not in {f.name for f in dataclasses.fields(cfg)} and "plan" not in repr(cfg)
+
+
+def test_round_plan_and_digit_tables_wait_for_the_first_round():
+    """Reading, writing and round-tripping a config builds neither its plan
+    nor its field's digit tables; a round builds both.  A replaced config
+    builds its own plan and shares the field, tables and all."""
+    config = SessionConfig.from_json({"field": {"p": 3, "n": 3}, "rounds": 5, "seed": 2})
+    twin = SessionConfig.from_json(config.to_json())
+    for cfg in (config, twin):
+        assert "_plan" not in vars(cfg) and "digit_tables" not in vars(cfg.field)
+    run_round(config, 0, Draws(config.seed))
+    assert "_plan" in vars(config) and "digit_tables" in vars(config.field)
+    copy = dataclasses.replace(config)
+    assert "_plan" not in vars(copy) and copy.field is config.field
 
 
 @pytest.mark.parametrize("spec", [GF7, FieldSpec(3, 2)], ids=["d7", "d9"])
