@@ -276,11 +276,13 @@ def _session_config(args) -> SessionConfig:
 
 def _written(records, fh):
     """records, each written to fh, the --out file, as its JSON line on the
-    way through."""
+    way through.  fh is flushed after the last one, so a transcript that
+    cannot be written fails before its summary is."""
     with _flag("--out"):
         for rec in records:
             fh.write(rec.to_jsonl())
             yield rec
+        fh.flush()
 
 
 @contextlib.contextmanager

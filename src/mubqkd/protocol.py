@@ -272,12 +272,14 @@ _SEED_POOL = 4
 # states; doubling from one state would take twelve, half of them on fewer
 # than 64 states, where a product costs little but its array calls.  A
 # refill is some 30 array operations of _BLOCK_WORDS states and a tolist,
-# about 0.15-0.25 ms.  A round of either benchmark session takes about 8
-# words (7.6 in a d = 7 swap session, 7.9 in a d = 243 one with an
+# about 0.16 ms.  A round of either benchmark session takes about 8 words
+# (7.6 in a d = 7 swap session, 7.9 in a d = 243 one with an
 # eavesdropper), so a block lasts some 500 rounds and under 1% of rounds
-# pay for a refill.  Spread over those rounds a refill costs about 0.5 us
-# a round, a tenth of a d = 7 round, whose other draws are a few tenths of
-# a us each.
+# pay for a refill.  Spread over those rounds a refill costs about 0.3 us
+# a round, a tenth of a d = 7 round.  A draw costs about 0.12 us when
+# run_round takes its word inline, 0.13-0.16 us as a call of random() or
+# outcome() and 0.24 us as one of integers() (2-core Xeon, Python 3.11,
+# best of 30 loops of 1000 draws, loop included).
 _BLOCK_ROOT = 64
 _BLOCK_WORDS = _BLOCK_ROOT ** 2
 
@@ -377,7 +379,9 @@ class Draws:
     the low half of a fresh word and keeps the high half for the next 32-bit
     draw; random() and outcome() leave that half alone.  integers() takes
     its 32-bit halves in its own body, with no helper call, since draws are
-    the largest share of a round's cost.
+    the largest share of a round's cost.  A refill fills _words in place,
+    so run_round holds the list and _refill and takes its one-word draws
+    with no method call.
 
     seed is a non-negative int: ValueError for a negative one, as numpy's
     SeedSequence raises, and TypeError for anything operator.index refuses.
@@ -404,10 +408,13 @@ class Draws:
 
     def _refill(self) -> int:
         """The first word of the next block, whose states are the held ones
-        stepped by the map; its other words are kept, next one last."""
+        stepped by the map; its other words are kept, next one last, in the
+        same list, so a caller that holds _words and _refill across a refill
+        draws on."""
         self._hi, self._lo = _affine(*self._map, self._hi, self._lo)
-        self._words = _xsl_rr(self._hi, self._lo)
-        return self._words.pop()
+        words = self._words
+        words[:] = _xsl_rr(self._hi, self._lo)
+        return words.pop()
 
     def random(self) -> float:
         """Generator.random(): a float in [0, 1)."""
@@ -460,15 +467,21 @@ def run_round(config: SessionConfig, round_index: int, rng: Draws) -> RoundRecor
     The round unpacks its config's plan tuple, built once (SessionConfig._plan
     gives each entry's meaning), so it costs its draws, the largest share; a
     few integer operations on canonical indices, three table lookups per sum
-    or difference at n >= 2; and one positional RoundRecord.
+    or difference at n >= 2; and one positional RoundRecord.  The draws of
+    one word (c1, c1p, k1, k2, the duty variate, the check outcome and each
+    swap test) are taken inline from rng's word list, with the word
+    arithmetic of Draws.outcome and Draws.random and no method call; only
+    integers() stays a call, for its kept 32-bit half.
     """
     field, d, q, pair, delta, check_fraction, eve, eve_basis, eve_high, swap, reps = config._plan
-    integers, outcome, random = rng.integers, rng.outcome, rng.random
+    integers, words, refill = rng.integers, rng._words, rng._refill
     b, c = (integers(d), integers(d)) if pair is None else pair
 
     # Alice's outcomes are uniform in every basis; Bob's particles collapse
     # to (b2, expected) = (b - b1, c - c1) and (b2, c - delta - c1p).
-    b1, c1, c1p = integers(d), outcome(d), outcome(d)
+    b1 = integers(d)
+    c1 = ((words.pop() if words else refill()) >> 11) * d >> 53
+    c1p = ((words.pop() if words else refill()) >> 11) * d >> 53
     if q:
         _, add, sub = field.digit_tables
         b2 = chunkwise(q, sub, b, b1)
@@ -482,7 +495,8 @@ def run_round(config: SessionConfig, round_index: int, rng: Draws) -> RoundRecor
     if eve:
         if eve_basis is None:
             eve_basis = integers(eve_high)
-        k1, k2 = outcome(d), outcome(d)
+        k1 = ((words.pop() if words else refill()) >> 11) * d >> 53
+        k2 = ((words.pop() if words else refill()) >> 11) * d >> 53
         undisturbed = eve_basis == b2
         eve_outcome = [k1, k2]
         if undisturbed:
@@ -490,8 +504,8 @@ def run_round(config: SessionConfig, round_index: int, rng: Draws) -> RoundRecor
             eve_outcome = [expected, c2p]
 
     # duty assigned only after transit
-    if random() < check_fraction:
-        u = outcome(d)
+    if ((words.pop() if words else refill()) >> 11) * (1.0 / (1 << 53)) < check_fraction:
+        u = ((words.pop() if words else refill()) >> 11) * d >> 53
         measured = expected if undisturbed else u
         return RoundRecord(round_index, "check", None, None, b1, c1, c1p, eve_basis,
                            eve_outcome, None, b2, expected, measured, measured == expected)
@@ -513,11 +527,13 @@ def run_round(config: SessionConfig, round_index: int, rng: Draws) -> RoundRecor
     else:
         agree = (chunkwise(q, add, k2, lam) if q else (k2 + lam) % d) == k1
     if swap:
-        # a swap test is antisymmetric with probability (1 - overlap) / 2
-        p_anti = 0.0 if agree else 0.5
+        # a swap test is antisymmetric with probability (1 - overlap) / 2: at
+        # overlap 0, when its variate (w >> 11) * 2**-53 is below 1/2, that
+        # is, when its word w is below 2**63; at overlap 1 never, but each
+        # test still takes its word
         decoded = 1
         for _ in range(reps):
-            if random() < p_anti:
+            if (words.pop() if words else refill()) < 1 << 63 and not agree:
                 decoded = 0
                 break
     else:

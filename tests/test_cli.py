@@ -406,6 +406,17 @@ def test_output_errors_name_their_flag(tmp_path, capsys, monkeypatch, argv, flag
     assert capsys.readouterr().err == f"error: {flag}: [Errno 28] No space left on device\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_lost_transcript_leaves_no_summary(tmp_path, capsys, monkeypatch):
+    """A transcript that fails only when it is flushed fails before the
+    summary is written, so --stats holds no summary of a lost session."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["session", "--p", "7", "--rounds", "20", "--out", "/dev/full", "--stats", "s.json"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --out: [Errno 28] No space left on device\n"
+    assert (tmp_path / "s.json").read_bytes() == b""
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
 def test_out_pipe_closed_by_its_reader_names_its_flag(tmp_path):
     """A named --out pipe whose reader leaves early is a failed write, exit
