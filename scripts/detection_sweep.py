@@ -31,6 +31,10 @@ def main():
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--out", type=str, default=None, help="CSV path (default stdout)")
     args = ap.parse_args()
+    if args.rounds < 1:
+        ap.error(f"--rounds: must be at least 1, got {args.rounds}")
+    if args.seed < 0:
+        ap.error(f"--seed: expected a non-negative integer, got {args.seed}")
     out = sys.stdout
     if args.out:
         try:   # opened before the sweep, so a bad path costs no sessions

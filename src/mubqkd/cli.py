@@ -25,7 +25,8 @@ from .gf import FieldSpec, index_add, index_sub, refuse_oversize
 from .hilbert import project_first
 from .mub import mub_state, unbiasedness_report
 from .phasespace import dwigner1, dwigner2_support
-from .protocol import Draws, SessionConfig, session_records, session_summary
+from .protocol import SessionConfig, session_records, session_summary
+from .stream import Draws
 
 # Largest deviation verify accepts in the projection, shift and EPR checks.
 VERIFY_TOL = 1e-12

@@ -3,7 +3,7 @@
 States are plain 1-d complex numpy arrays.  All operations are pure and
 return fresh arrays; sampling draws from an explicitly passed rng, anything
 with a random() method returning a float in [0, 1) (a numpy Generator, or
-the protocol's Draws), so every run is reproducible from its seed.
+the sessions' stream.Draws), so every run is reproducible from its seed.
 """
 
 from __future__ import annotations

@@ -15,6 +15,8 @@ import mubqkd
 ROOT = Path(__file__).resolve().parent.parent
 ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mubqkd.__file__))}
 MUBQKD = [sys.executable, "-m", "mubqkd.cli"]
+SWEEP = [sys.executable, str(ROOT / "scripts" / "detection_sweep.py")]
+SOUNDNESS = [sys.executable, str(ROOT / "scripts" / "swap_soundness.py")]
 LIBRARY_SESSION = [sys.executable, "-c",
                    "from mubqkd import FieldSpec, SessionConfig, session_records, session_summary; "
                    "cfg = SessionConfig(field=FieldSpec(7, 1), rounds=200000); "
@@ -78,19 +80,25 @@ def case(name, argv, window=None, code=0, limit=None):
                                "--stats", "d2187.json"], code=3),
     case("bases-max-d-above-limit", [*MUBQKD, "bases", "--p", "3", "--n", "13",
                                      "--max-d", "2000000"], window=20, code=2),
+    # an agreeing swap comparison skips its words, so a round does not grow with --reps
+    case("session-unbounded-reps", [*MUBQKD, "session", "--p", "7", "--rounds", "10", "--mode",
+                                    "swap", "--reps", "99999999999999999999", "--no-transcript",
+                                    "--stats", "s.json"], window=30),
     case("verify-d81", [*MUBQKD, "verify", "--p", "3", "--n", "4"]),
     case("verify-d49", [*MUBQKD, "verify", "--p", "7", "--n", "2"]),
     # the experiment scripts
-    case("detection-sweep", [sys.executable, str(ROOT / "scripts" / "detection_sweep.py"),
-                             "--rounds", "100"]),
-    case("swap-soundness", [sys.executable, str(ROOT / "scripts" / "swap_soundness.py"),
-                            "--rounds", "200", "--max-reps", "3"]),
+    case("detection-sweep", [*SWEEP, "--rounds", "100"]),
+    case("swap-soundness", [*SOUNDNESS, "--rounds", "200", "--max-reps", "3"]),
     # an unwritable --out is refused before the sweep
-    case("detection-sweep-bad-out", [sys.executable, str(ROOT / "scripts" / "detection_sweep.py"),
-                                     "--rounds", "100", "--out", "nodir/x.csv"], code=2),
-    case("swap-soundness-bad-out", [sys.executable, str(ROOT / "scripts" / "swap_soundness.py"),
-                                    "--rounds", "200", "--max-reps", "3", "--out", "nodir/x.csv"],
-         code=2),
+    case("detection-sweep-bad-out", [*SWEEP, "--rounds", "100", "--out", "nodir/x.csv"], code=2),
+    case("swap-soundness-bad-out", [*SOUNDNESS, "--rounds", "200", "--max-reps", "3", "--out",
+                                    "nodir/x.csv"], code=2),
+    # so is a bad argument, naming its flag
+    case("detection-sweep-no-rounds", [*SWEEP, "--rounds", "0"], code=2),
+    case("detection-sweep-negative-seed", [*SWEEP, "--seed", "-8"], code=2),
+    case("swap-soundness-no-rounds", [*SOUNDNESS, "--rounds", "0"], code=2),
+    case("swap-soundness-negative-seed", [*SOUNDNESS, "--seed", "-20"], code=2),
+    case("swap-soundness-p-not-prime", [*SOUNDNESS, "--p", "9"], code=2),
 ])
 def test_command(tmp_path, argv, window, code, limit):
     """argv exits with code (124: still running when its window closed) and,
@@ -99,6 +107,15 @@ def test_command(tmp_path, argv, window, code, limit):
     assert got == code
     if limit is not None:
         assert peak <= limit, f"peak RSS {peak:.1f} MiB, limit {limit} MiB"
+
+
+def test_swap_soundness_leaves_the_rate_of_a_level_without_bit0_rounds_empty(tmp_path):
+    """At one round per level, some levels play no bit-0 round; their
+    misdecode_rate is empty, and the levels that play one have a rate."""
+    assert run([*SOUNDNESS, "--rounds", "1", "--out", "one.csv"], tmp_path)[0] == 0
+    rows = [line.split(",") for line in (tmp_path / "one.csv").read_text().splitlines()[1:]]
+    assert {(bit0 == "0", rate == "") for _, _, bit0, rate, _ in rows} == {(True, True),
+                                                                           (False, False)}
 
 
 @pytest.mark.parametrize("flags, code", [

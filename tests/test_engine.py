@@ -10,8 +10,8 @@ import pytest
 
 from mubqkd.gf import FieldSpec
 from mubqkd.mub import basis_matrix
-from mubqkd.protocol import (_BLOCK_WORDS, Draws, EveStrategy, SessionConfig, run_round,
-                             session_records, session_summary)
+from mubqkd.protocol import EveStrategy, SessionConfig, run_round, session_records, session_summary
+from mubqkd.stream import _BLOCK_WORDS, Draws
 
 from dense_round import run_round_dense
 
@@ -60,19 +60,27 @@ def test_dense_round_on_draws_matches_dense_round_on_generator(spec, eve):
 @pytest.mark.parametrize("config", [
     SessionConfig(field=FieldSpec(3, 1), rounds=8, check_fraction=0.3, mode="swap",
                   swap_repetitions=_BLOCK_WORDS + 5, seed=1),
+    SessionConfig(field=FieldSpec(3, 1), rounds=8, check_fraction=0.3, mode="swap",
+                  swap_repetitions=2 * _BLOCK_WORDS + 5, seed=2),
     SessionConfig(field=FieldSpec(7, 1), rounds=1500, check_fraction=0.3, mode="swap",
                   swap_repetitions=3, eve=EVES["uniform_all"](7), seed=2),
     SessionConfig(field=FieldSpec(3, 2), rounds=1500, check_fraction=0.3, delta_offset=4,
                   eve=EVES["uniform_quadratic"](9), seed=3),
-], ids=["d3-swap-refill-in-a-comparison", "d7-swap-uniform-all", "d9-oracle-uniform-quadratic"])
+], ids=["d3-swap-refill-in-a-comparison", "d3-swap-skip-whole-blocks", "d7-swap-uniform-all",
+        "d9-oracle-uniform-quadratic"])
 def test_label_round_matches_dense_round_across_block_refills(config):
     """Both rounds on Draws, over enough words to refill the block: the same
-    records, and the same next draws after the last round."""
+    records, and the same next draws after the last round.  A bit-1 round
+    of a d = 3 swap input compares equal states, whose swap tests the label
+    round skips in one skip(reps) and the dense round plays one by one."""
     label, dense = Draws(config.seed), Draws(config.seed)
     first_block = label._hi
+    bit1 = 0
     for i in range(config.rounds):
         rec = run_round(config, i, label)
         assert rec.to_jsonl() == run_round_dense(config, i, dense).to_jsonl(), i
+        bit1 += rec.bit_sent == 1
+    assert bit1 > 0
     assert label._hi is not first_block
     assert [label.random(), label.integers(7), label.outcome(9)] == [
         dense.random(), dense.integers(7), dense.outcome(9)]

@@ -18,11 +18,18 @@ from mubqkd.hilbert import born_sample
 from mubqkd.mub import basis_matrix, mub_state
 from mubqkd.entangle import entangled_mub, measure_first
 from mubqkd.phasespace import run_cv_round
-from mubqkd.protocol import (_BLOCK_WORDS, Draws, EveStrategy, RoundRecord, SessionConfig,
-                             _seed_state, eavesdropper_detected, run_round,
-                             session_records, session_summary, summarize)
+from mubqkd.protocol import (EveStrategy, RoundRecord, SessionConfig, eavesdropper_detected,
+                             run_round, session_records, session_summary, summarize)
+from mubqkd.stream import Draws
 
 from dense_round import alice_encode, bob_decode
+# The stream's tests moved to test_stream.py; collected here as well, they keep
+# the ids that earlier test results record them under.
+from test_stream import (test_draws_match_generator,  # noqa: F401
+                         test_draws_match_generator_across_blocks,
+                         test_draws_match_sized_generator_draws_in_verify_order,
+                         test_draws_refuse_bad_seeds, test_draws_words_match_pcg64,
+                         test_outcome_takes_the_word_random_takes)
 
 GF3 = FieldSpec(3, 1)
 GF7 = FieldSpec(7, 1)
@@ -409,61 +416,6 @@ def test_detection_thresholds():
 # the session's variate stream
 # ---------------------------------------------------------------------------
 
-DRAW_HIGHS = [1, 2, 3, 7, 243, 244, 2 ** 31 + 1, 3 * 2 ** 30, 2 ** 32 - 1, 2 ** 32]
-
-
-def test_draws_match_generator():
-    for seed in range(100):
-        draws, gen = Draws(seed), np.random.default_rng(seed)
-        calls = np.random.default_rng(10_000 + seed).integers(len(DRAW_HIGHS) + 1, size=500)
-        for k in calls.tolist():
-            if k == len(DRAW_HIGHS):
-                assert draws.random() == gen.random()
-            else:
-                high = DRAW_HIGHS[k]
-                assert draws.integers(high) == int(gen.integers(high)), (seed, high)
-    with pytest.raises(ValueError):
-        Draws(0).integers(2 ** 32 + 1)
-
-
-STREAM_SEEDS = [*range(100), 2 ** 32 - 1, 2 ** 32, 2 ** 64, 2 ** 128 + 1, 10 ** 40]
-
-
-@pytest.mark.parametrize("seed", STREAM_SEEDS)
-def test_draws_words_match_pcg64(seed):
-    bits = np.random.PCG64(seed)
-    assert _seed_state(seed) == (bits.state["state"]["state"], bits.state["state"]["inc"])
-    draws = Draws(seed)
-    words = draws._words[::-1]
-    for _ in range(3):
-        words.append(draws._refill())
-        words += draws._words[::-1]
-    assert words == bits.random_raw(4 * _BLOCK_WORDS).tolist()
-
-
-def test_draws_match_generator_across_blocks():
-    pending_refills = 0
-    for seed in (0, 5, 2 ** 64, 10 ** 40):
-        draws, gen = Draws(seed), np.random.default_rng(seed)
-        calls = np.random.default_rng(20_000 + seed).integers(len(DRAW_HIGHS) + 1, size=20_000)
-        for k in calls.tolist():
-            pending_refills += not draws._words and draws._half is not None
-            if k == len(DRAW_HIGHS):
-                assert draws.random() == gen.random()
-            else:
-                high = DRAW_HIGHS[k]
-                assert draws.integers(high) == int(gen.integers(high)), (seed, high)
-    assert pending_refills > 0
-
-
-def test_draws_refuse_bad_seeds():
-    with pytest.raises(ValueError, match="non-negative"):
-        Draws(-1)
-    for seed in (None, 1.0, np.zeros(2, dtype=np.uint32), np.random.SeedSequence(0)):
-        with pytest.raises(TypeError):
-            Draws(seed)
-
-
 def test_session_never_imports_numpy_random(tmp_path):
     src = os.path.dirname(os.path.dirname(mubqkd.__file__))
     code = ("import sys\n"
@@ -473,17 +425,6 @@ def test_session_never_imports_numpy_random(tmp_path):
             "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n")
     subprocess.run([sys.executable, "-W", "error", "-c", code, str(tmp_path / "stats.json")],
                    check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
-
-
-@pytest.mark.parametrize("d, seed", [(9, 0), (81, 9), (125, 2 ** 40), (125, 3)])
-def test_draws_match_sized_generator_draws_in_verify_order(d, seed):
-    draws, gen = Draws(seed), np.random.default_rng(seed)
-    for width in (4, 3, 4):
-        assert gen.integers(0, d, size=(201, width)).tolist() == [
-            [draws.integers(d) for _ in range(width)] for _ in range(201)]
-    for _ in range(20):
-        assert [draws.integers(d), draws.integers(d), draws.random(), draws.random()] == [
-            int(gen.integers(d)), int(gen.integers(d)), gen.random(), gen.random()]
 
 
 def test_verify_never_imports_numpy_random():
@@ -518,36 +459,8 @@ def test_uniform_outcome_is_floor_of_m_d_over_2_53(spec):
 
     draws = Draws(0)
     for low in (0, 0x7FF):      # the 11 low bits that random() drops too
-        draws._words = [m << 11 | low for m, _ in reversed(cases)]    # next word last
+        draws.words = [m << 11 | low for m, _ in reversed(cases)]     # next word last
         assert [draws.outcome(d) for _ in cases] == expected, low
-
-
-OUTCOME_DS = [1, 2, 3, 7, 243, 59_049, 1_048_573]
-
-
-def test_outcome_takes_the_word_random_takes():
-    """outcome(d) equals floor(random() * 2**53) * d >> 53 on a Draws of the
-    same seed, across block refills and with a kept 32-bit half pending, and
-    leaves the same next draws."""
-    pending = 0
-    for seed in (0, 7, 2 ** 64):
-        draws, ref, refills = Draws(seed), Draws(seed), 0
-        gen = np.random.default_rng(30_000 + seed)
-        for kind, d in zip(gen.integers(3, size=12_000).tolist(),
-                           gen.choice(OUTCOME_DS, size=12_000).tolist()):
-            left = len(draws._words)
-            if kind == 0:
-                assert draws.integers(d) == ref.integers(d)
-            elif kind == 1:
-                assert draws.random() == ref.random()
-            else:
-                pending += draws._half is not None
-                assert draws.outcome(d) == int(ref.random() * (1 << 53)) * d >> 53, (seed, d)
-            refills += len(draws._words) > left
-        assert [draws.integers(7), draws.integers(7), draws.random()] == [
-            ref.integers(7), ref.integers(7), ref.random()]
-        assert refills >= 2, seed
-    assert pending > 0
 
 
 # ---------------------------------------------------------------------------
