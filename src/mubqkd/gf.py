@@ -7,8 +7,9 @@ FieldSpec refuses d above MAX_D before it tests p or looks for a modulus,
 so every table below holds at most d <= MAX_D entries.
 Addition is digit-wise mod p on indices: for n >= 2 an index splits into
 chunks of h = n // 2 base-p digits, and each pair of chunks is looked up in
-the add or sub table of FieldSpec.digit_tables (p^(2h) <= d entries each);
-d <= p^(3h), so a sum costs three lookups whatever n is.
+the one difference table of FieldSpec.digit_tables (p^(2h) <= d entries);
+d <= p^(3h), so a difference costs three lookups whatever n is, and a sum
+is a difference from the negative.
 Products and the trace work on coefficients.  Phases need only traces of
 products, which index_arrays gives through the digits of each index and
 the n x n x n tensor traces[l, i, j] = tr(x^(l+i+j)): tr(a*b) and
@@ -103,7 +104,10 @@ def is_irreducible(poly, p: int) -> bool:
     n/2, Ben-Or's test: gcd(poly, x^(p^i) - x) = 1 rules out a factor of
     degree i, since x^(p^i) - x is the product of the monic irreducibles
     whose degree divides i.  x^(p^i) mod poly is x^(p^(i-1)) mod poly raised
-    to the p-th power by square-and-multiply."""
+    to the p-th power by square-and-multiply.  A p that is not prime is a
+    ValueError."""
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
     poly = [c % p for c in poly]
     n = len(poly) - 1
     if n < 1 or poly[-1] != 1:
@@ -133,7 +137,12 @@ def find_irreducible(p: int, n: int) -> tuple[int, ...]:
     Candidates are scanned in ascending order with the constant term
     varying fastest (the base-p digits of k, low-order first, for k = 0, 1,
     ...), so the result is deterministic; none is built before it is tried.
+    A p that is not prime or an n below 1 is a ValueError.
     """
+    if n < 1:
+        raise ValueError(f"extension degree must be at least 1, got {n}")
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
     for k in range(p ** n):
         cand = tuple(k // p ** i % p for i in range(n)) + (1,)
         if is_irreducible(cand, p):
@@ -141,8 +150,8 @@ def find_irreducible(p: int, n: int) -> tuple[int, ...]:
     raise AssertionError("monic irreducibles exist for every degree")
 
 
-# Largest field size d = p^n a FieldSpec accepts: its digit tables then take
-# at most 4 MiB of int32 apiece, the only tables a session keeps.
+# Largest field size d = p^n a FieldSpec accepts: its digit table then takes
+# at most 4 MiB of int32, the only table a session keeps.
 MAX_D = 2 ** 20
 
 
@@ -204,26 +213,23 @@ class FieldSpec:
         return self.p ** self.n
 
     @cached_property
-    def digit_tables(self) -> tuple[int, memoryview, memoryview]:
-        """(q, add, sub), built on first use and kept on the instance.
+    def digit_tables(self) -> tuple[int, memoryview]:
+        """(q, sub), built on first use and kept on the instance.
 
         q = p^h for chunks of h = n // 2 base-p digits (q = 1 at n = 1, where
-        index_add never reads them); add[x * q + y] and sub[x * q + y] are the
-        chunks whose digits are those of x plus and minus those of y, mod p.
-        Each is a read-only int32 view of q * q <= d entries, built by
-        vectorized digit arithmetic.  Not part of equality, hashing or
-        to_config.
+        index_sub never reads it); sub[x * q + y] is the chunk whose digits
+        are those of x minus those of y, mod p.  A read-only int32 view of
+        q * q <= d entries, built by vectorized digit arithmetic.  Not part
+        of equality, hashing or to_config.
         """
         p, h = self.p, self.n // 2
         q = p ** h
         k = np.arange(q, dtype=np.int32)
-        add = np.zeros((q, q), dtype=np.int32)
         sub = np.zeros((q, q), dtype=np.int32)
         for i in range(h):
             x = k // p ** i % p
-            add += (x[:, None] + x) % p * p ** i
             sub += (x[:, None] - x) % p * p ** i
-        return q, memoryview(add.ravel()).toreadonly(), memoryview(sub.ravel()).toreadonly()
+        return q, memoryview(sub.ravel()).toreadonly()
 
     def __getstate__(self) -> dict:
         """The fields alone: a pickle or copy leaves digit_tables out, to be
@@ -371,12 +377,12 @@ def index_arrays(spec: FieldSpec):
 def chunkwise(q: int, table, a: int, b: int) -> int:
     """Index whose base-q chunks are table[x * q + y], for x and y the chunks of a and b.
 
-    Requires (q, add, sub) = spec.digit_tables at n >= 2 and a, b in [0, d);
-    then chunkwise(q, add, a, b) is index_add(spec, a, b) and chunkwise(q,
-    sub, a, b) is index_sub(spec, a, b), without reading spec on each call.
-    q = p^(n // 2) gives d <= q^3, so an index has at most three chunks, and
-    a missing top chunk reads table[0], which is 0 in both tables."""
-    if b == 0:                          # a + 0 = a - 0 = a
+    Requires (q, sub) = spec.digit_tables at n >= 2 and a, b in [0, d);
+    then chunkwise(q, sub, a, b) is index_sub(spec, a, b), without checking
+    a and b or reading spec on each call.  q = p^(n // 2) gives d <= q^3,
+    so an index has at most three chunks, and a missing top chunk reads
+    table[0], which is 0."""
+    if b == 0:                          # a - 0 = a
         return a
     qq = q * q
     return (table[a % q * q + b % q] + table[a // q % q * q + b // q % q] * q
@@ -384,18 +390,17 @@ def chunkwise(q: int, table, a: int, b: int) -> int:
 
 
 def index_add(spec: FieldSpec, a: int, b: int) -> int:
-    """Index of from_index(a) + from_index(b)."""
-    if spec.n == 1:
-        return (a + b) % spec.p
-    q, add, _ = spec.digit_tables
-    return chunkwise(q, add, a, b)
+    """Index of from_index(a) + from_index(b): a minus the negative of b."""
+    return index_sub(spec, a, index_neg(spec, b))
 
 
 def index_sub(spec: FieldSpec, a: int, b: int) -> int:
-    """Index of from_index(a) - from_index(b)."""
+    """Index of from_index(a) - from_index(b); each operand must pass
+    spec.check_index."""
+    a, b = spec.check_index(a), spec.check_index(b)
     if spec.n == 1:
         return (a - b) % spec.p
-    q, _, sub = spec.digit_tables
+    q, sub = spec.digit_tables
     return chunkwise(q, sub, a, b)
 
 

@@ -173,8 +173,8 @@ class SessionConfig:
         """What every round reads, worked out once and kept on the instance;
         not part of equality, hashing, repr or to_json.  The tuple (field, d,
         q, pair, delta, check_fraction, eve, eve_basis, eve_high, swap, reps):
-        the field, not its tables, so a config pickles after a session; d; q,
-        the chunk size of field.digit_tables, 0 at n = 1, where sums are mod d;
+        the field, not its table, so a config pickles after a session; d; q,
+        the chunk size of field.digit_tables, 0 at n = 1, differences mod d;
         pair_label, delta_offset, check_fraction; eve, whether an intercept-
         resend eavesdropper listens; eve_basis, her fixed basis, else None;
         eve_high, the bound of her drawn basis integers(eve_high), d quadratic
@@ -268,14 +268,14 @@ def run_round(config: SessionConfig, round_index: int, rng: Draws) -> RoundRecor
 
     The round unpacks its config's plan tuple, built once (SessionConfig._plan
     gives each entry's meaning), so it costs its draws, the largest share; a
-    few integer operations on canonical indices, three table lookups per sum
-    or difference at n >= 2; and one positional RoundRecord.  The draws of
-    one word (c1, c1p, k1, k2, the duty variate, the check outcome and each
-    swap test) are taken inline through rng.words and rng.refill, with the
-    word arithmetic of Draws.outcome and Draws.random and no method call;
-    only integers() stays a call, for its kept 32-bit half.  A swap
-    comparison of equal states takes its reps words in one rng.skip(reps),
-    so a round's cost does not grow with reps.
+    few integer operations on canonical indices, each relation a difference
+    of labels, three table lookups per difference at n >= 2; and one
+    positional RoundRecord.  The draws of one word (c1, c1p, k1, k2, the duty
+    variate, the check outcome and each swap test) are taken inline through
+    rng.words and rng.refill, with the word arithmetic of Draws.outcome and
+    Draws.random and no method call; only integers() stays a call, for its
+    kept 32-bit half.  A swap comparison of equal states takes its reps
+    words in one rng.skip(reps), so a round's cost does not grow with reps.
     """
     field, d, q, pair, delta, check_fraction, eve, eve_basis, eve_high, swap, reps = config._plan
     integers, words, refill = rng.integers, rng.words, rng.refill
@@ -287,7 +287,7 @@ def run_round(config: SessionConfig, round_index: int, rng: Draws) -> RoundRecor
     c1 = ((words.pop() if words else refill()) >> 11) * d >> 53
     c1p = ((words.pop() if words else refill()) >> 11) * d >> 53
     if q:
-        _, add, sub = field.digit_tables
+        _, sub = field.digit_tables
         b2 = chunkwise(q, sub, b, b1)
         expected = chunkwise(q, sub, c, c1)
     else:
@@ -314,12 +314,12 @@ def run_round(config: SessionConfig, round_index: int, rng: Draws) -> RoundRecor
         return RoundRecord(round_index, "check", None, None, b1, c1, c1p, eve_basis,
                            eve_outcome, None, b2, expected, measured, measured == expected)
 
-    # Alice announces the match c1p - c1 + delta for bit 1, any other of the d
-    # values for bit 0.  Bob's second state shifted by lam equals his first:
-    # undisturbed, iff lam is the match; after Eve's basis e, iff k2 + lam = k1
+    # Alice announces the match c1p - (c1 - delta) for bit 1, any other of the
+    # d values for bit 0.  Bob's second state shifted by lam equals his first:
+    # undisturbed, iff lam is the match; after Eve's basis e, iff k1 - lam = k2
     # at e < d, and iff k2 = k1 at e = d (a shift moves no computational state).
     bit = integers(2)
-    match = chunkwise(q, add, chunkwise(q, sub, c1p, c1), delta) if q else (c1p - c1 + delta) % d
+    match = chunkwise(q, sub, c1p, chunkwise(q, sub, c1, delta)) if q else (c1p - c1 + delta) % d
     lam = match
     if not bit:
         k = integers(d - 1)
@@ -329,7 +329,7 @@ def run_round(config: SessionConfig, round_index: int, rng: Draws) -> RoundRecor
     elif eve_basis == d:
         agree = k1 == k2
     else:
-        agree = (chunkwise(q, add, k2, lam) if q else (k2 + lam) % d) == k1
+        agree = (chunkwise(q, sub, k1, lam) if q else (k1 - lam) % d) == k2
     # a swap test is antisymmetric with probability (1 - overlap) / 2: at
     # overlap 1 never, though each test still takes its word; at overlap 0
     # when its variate (w >> 11) * 2**-53 is below 1/2, that is, when its

@@ -85,15 +85,15 @@ def test_session_rejects_oversize_dimension(tmp_path, capsys, monkeypatch, argv,
 
 
 def test_session_digit_tables_fit_in_8_d_bytes():
-    """Both digit tables that a session reads for the largest field of each
-    degree that session accepts take at most 8 * d bytes."""
+    """The digit table that a session reads for the largest field of each
+    degree that session accepts takes at most 4 * d bytes."""
     limit = gf.MAX_D
     for n in range(1, int(math.log(limit, 3)) + 1):
         p = next(p for p in range(int(limit ** (1 / n)) + 1, 2, -1)
                  if p % 2 and gf.is_prime(p) and p ** n <= limit)
         spec = SessionConfig(field=gf.FieldSpec(p, n), rounds=1)._plan[0]
         tables = spec.digit_tables[1:] if n > 1 else ()
-        assert sum(t.nbytes for t in tables) <= 8 * spec.d
+        assert sum(t.nbytes for t in tables) <= 4 * spec.d
 
 
 def test_verify_rejects_no_samples(capsys):
@@ -184,6 +184,19 @@ def test_benchmark_sessions_match_their_pins(tmp_path, capsys, monkeypatch):
             out = tmp_path / f"{size}-{name}.jsonl"
             assert main(w.argv(seed, str(out), str(tmp_path / "s.json"))) == w.expected_rc
             assert hashlib.sha256(out.read_bytes()).hexdigest() == pins[name][str(seed)], (size, name)
+
+
+def test_three_chunk_session_with_a_delta_matches_its_pin(tmp_path):
+    """A d = 243 swap session with delta != 0 and Eve on the quadratic bases
+    runs the match c1p - (c1 - delta) over three chunks (q = 3), which the
+    benchmark pins (delta = 0) and the dense differential (d <= 25) do not."""
+    out = tmp_path / "t.jsonl"
+    argv = ["session", "--p", "3", "--n", "5", "--rounds", "2000", "--mode", "swap", "--reps", "3",
+            "--eve", "uniform-quadratic", "--delta", "200", "--check-frac", "0.3", "--seed", "9",
+            "--out", str(out), "--stats", str(tmp_path / "s.json")]
+    assert main(argv) == 3
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "0412bf2295b2685f05ad56428fc876430b706550ee2e61e19b8704233213609d")
 
 
 def test_bases_csv(capsys):

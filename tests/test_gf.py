@@ -90,6 +90,26 @@ def test_is_prime():
     assert [m for m in range(20) if is_prime(m)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: find_irreducible(7, 0), "extension degree must be at least 1, got 0"),
+    (lambda: find_irreducible(7, -1), "extension degree must be at least 1, got -1"),
+    (lambda: find_irreducible(1, 2), "p must be a prime, got 1"),
+    (lambda: find_irreducible(0, 1), "p must be a prime, got 0"),
+    (lambda: find_irreducible(4, 2), "p must be a prime, got 4"),
+    (lambda: is_irreducible((1, 1), 0), "p must be a prime, got 0"),
+    (lambda: is_irreducible((1, 0, 1), 9), "p must be a prime, got 9"),
+], ids=["find-n0", "find-n-negative", "find-p1", "find-p0", "find-p4", "is-p0", "is-p9"])
+def test_irreducible_search_refuses_bad_arguments(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_find_irreducible_works_over_gf2():
+    assert find_irreducible(2, 3) == (1, 1, 0, 1)           # x^3 + x + 1
+    assert is_irreducible((1, 1, 0, 1), 2) and not is_irreducible((1, 0, 1), 2)
+
+
 def test_gf3_arithmetic():
     two = GF3.from_index(2)
     assert (two + two).index == 1
@@ -397,6 +417,32 @@ def test_index_arithmetic_matches_digitwise_reference(spec):
         assert index_sub(spec, 0, a) == _digitwise(spec, 0, a, -1)
 
 
+@pytest.mark.parametrize("spec", [GF7, GF9, GF27], ids=["7", "9", "27"])
+@pytest.mark.parametrize("op, args", [
+    (index_add, (100, 0)), (index_add, (0, 100)), (index_add, (1, -1)), (index_add, (-1, 1)),
+    (index_sub, (-1, 0)), (index_sub, (0, -1)), (index_sub, ("d", 0)), (index_sub, (0, "d")),
+    (index_neg, (81,)), (index_neg, ("d",)), (index_neg, (-1,)),
+], ids=["add-a100", "add-b100", "add-b-1", "add-a-1", "sub-a-1", "sub-b-1", "sub-a-d", "sub-b-d",
+        "neg-81", "neg-d", "neg-1"])
+def test_index_arithmetic_refuses_labels_outside_the_field(spec, op, args):
+    """index_add, index_sub and index_neg pass each operand through
+    spec.check_index, at n = 1 as at n >= 2."""
+    args = [spec.d if a == "d" else a for a in args]
+    bad = next(a for a in args if not 0 <= a < spec.d)
+    with pytest.raises(ValueError) as exc:
+        op(spec, *args)
+    assert str(exc.value) == f"element index {bad} outside [0, {spec.d})"
+
+
+@pytest.mark.parametrize("spec", [GF7, GF9], ids=["7", "9"])
+@pytest.mark.parametrize("op, args", [(index_add, (2.5, 1)), (index_add, (1, 2.5)),
+                                      (index_sub, (2.5, 1)), (index_neg, (2.5,))],
+                         ids=["add-a", "add-b", "sub-a", "neg"])
+def test_index_arithmetic_refuses_non_integer_labels(spec, op, args):
+    with pytest.raises(TypeError):
+        op(spec, *args)
+
+
 @pytest.mark.parametrize("spec", LAYOUT_SPECS, ids=lambda s: f"{s.p}^{s.n}")
 def test_index_arithmetic_matches_digitwise_reference_at_chunk_edges(spec):
     q, d = spec.digit_tables[0], spec.d
@@ -419,13 +465,12 @@ def test_largest_field_of_each_degree_has_at_most_three_chunks():
 
 @pytest.mark.parametrize("spec", TABLE_SPECS, ids=TABLE_IDS)
 def test_digit_tables_are_read_only_with_at_most_d_entries(spec):
-    q, add, sub = spec.digit_tables
+    q, sub = spec.digit_tables
     assert q == spec.p ** max(1, spec.n // 2)
-    for table in (add, sub):
-        assert len(table) == q * q <= spec.d
-        assert table.readonly and table.itemsize == 4
-        with pytest.raises(TypeError):
-            table[0] = 0
+    assert len(sub) == q * q <= spec.d
+    assert sub.readonly and sub.itemsize == 4
+    with pytest.raises(TypeError):
+        sub[0] = 0
 
 
 def test_digit_tables_build_no_elements(monkeypatch):
@@ -470,9 +515,9 @@ def test_oversize_field_is_refused_before_it_is_built(monkeypatch, p, n, d):
 
 def test_largest_prime_field_builds_with_tables_of_at_most_d_entries():
     """1048573 is the largest prime below the limit; at n = 1 the chunks are
-    empty (q = 1), so the tables hold one entry, not p^2."""
+    empty (q = 1), so the table holds one entry, not p^2."""
     spec = FieldSpec(1048573, 1)
     assert spec.d <= gf.MAX_D
-    q, add, sub = spec.digit_tables
-    assert q == 1 and len(add) == len(sub) == 1 <= spec.d
+    q, sub = spec.digit_tables
+    assert q == 1 and len(sub) == 1 <= spec.d
     assert index_add(spec, spec.d - 1, 5) == 4 and index_sub(spec, 2, 5) == spec.d - 3
