@@ -27,7 +27,7 @@ def _pair_state(spec: FieldSpec, state) -> np.ndarray:
 def entangled_mub(spec: FieldSpec, b: int, c: int) -> np.ndarray:
     """Two-particle state of C^d x C^d, supported on the diagonal n1 == n2,
     with the amplitudes of the (b, c) MUB state."""
-    spec.check_index(b, "pair basis index")
+    b = spec.check_index(b, "pair basis index")
     d = spec.d
     single = mub_state(spec, b, c)
     state = np.zeros(d * d, dtype=complex)
@@ -71,7 +71,7 @@ def joint_c_measure(spec: FieldSpec, state, b: int, rng) -> tuple[int | None, np
     c is None for the complement outcome, which only occurs for states
     with off-diagonal support.  b must be a pair basis index in [0, d).
     """
-    spec.check_index(b, "pair basis index")
+    b = spec.check_index(b, "pair basis index")
     d = spec.d
     psi = _pair_state(spec, state)
     rows = basis_matrix(spec, b)
@@ -93,8 +93,8 @@ def joint_c_measure(spec: FieldSpec, state, b: int, rng) -> tuple[int | None, np
 def exponent_additivity_check(spec: FieldSpec, b1: int, c1: int, b2: int, c2: int) -> bool:
     """Phase factors of (b1+b2, c1+c2) equal the product of the two factors
     at every position n.  b1 and b2 must be pair basis indices in [0, d)."""
-    spec.check_index(b1, "pair basis index")
-    spec.check_index(b2, "pair basis index")
+    b1 = spec.check_index(b1, "pair basis index")
+    b2 = spec.check_index(b2, "pair basis index")
     root_d = np.sqrt(spec.d)
     f1 = mub_state(spec, b1, c1) * root_d
     f2 = mub_state(spec, b2, c2) * root_d

@@ -11,12 +11,11 @@ the one difference table of FieldSpec.digit_tables (p^(2h) <= d entries);
 d <= p^(3h), so a difference costs three lookups whatever n is, and a sum
 is a difference from the negative.
 Products and the trace work on coefficients.  Phases need only traces of
-products, which index_arrays gives through the digits of each index and
-the n x n x n tensor traces[l, i, j] = tr(x^(l+i+j)): tr(a*b) and
-tr(b*k^2) are quadratic forms in the digits.  index_arrays builds no
-GfElem: tr(x^k) comes from the remainders of x^0 .. x^(4n-4) by the
-modulus, as the trace of multiplication by x^k on the basis 1, x, ...,
-x^(n-1).
+products, which FieldSpec.index_arrays gives, without building a GfElem,
+through the digits of each index and the n x n x n tensor
+traces[l, i, j] = tr(x^(l+i+j)): tr(a*b) and tr(b*k^2) are quadratic
+forms in the digits.  Both tables live on their FieldSpec and are freed
+with it; the module keeps no process-wide cache.
 The default modulus is the first monic irreducible in a fixed scan order;
 is_irreducible rejects a root in GF(p) and then applies Ben-Or's test,
 gcd(f, x^(p^i) - x) = 1 for 2 <= i <= n/2, rather than trial division.
@@ -26,14 +25,16 @@ GfElem products and Frobenius traces stay the reference the tests use.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
 
 def is_prime(m: int) -> bool:
-    """Trial-division primality test; adequate for desk-scale moduli."""
+    """Trial-division primality test; adequate for desk-scale moduli.  m
+    goes through operator.index, so a non-integer is a TypeError."""
+    m = operator.index(m)
     if m < 2:
         return False
     if m % 2 == 0:
@@ -180,7 +181,9 @@ def _integer(key: str, value) -> int:
 class FieldSpec:
     """GF(p^n) with an explicit monic irreducible modulus (low-order first).
 
-    An empty modulus selects the default from find_irreducible.
+    An empty modulus selects the default from find_irreducible.  The tables
+    digit_tables and index_arrays are built on first use and freed with the
+    instance; equality, hashing, repr, to_config and pickles ignore them.
     """
 
     p: int
@@ -214,13 +217,12 @@ class FieldSpec:
 
     @cached_property
     def digit_tables(self) -> tuple[int, memoryview]:
-        """(q, sub), built on first use and kept on the instance.
+        """(q, sub), the session's table.
 
         q = p^h for chunks of h = n // 2 base-p digits (q = 1 at n = 1, where
         index_sub never reads it); sub[x * q + y] is the chunk whose digits
         are those of x minus those of y, mod p.  A read-only int32 view of
-        q * q <= d entries, built by vectorized digit arithmetic.  Not part
-        of equality, hashing or to_config.
+        q * q <= d entries, built by vectorized digit arithmetic.
         """
         p, h = self.p, self.n // 2
         q = p ** h
@@ -231,10 +233,34 @@ class FieldSpec:
             sub += (x[:, None] - x) % p * p ** i
         return q, memoryview(sub.ravel()).toreadonly()
 
+    @cached_property
+    def index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (digits, traces), the phases' tables: the n base-p
+        digits of each index, a (d, n) array, and the n x n x n trace tensor
+        traces[l, i, j] = tr(x^(l+i+j)).  tr is linear, so tr(a * b) is
+        digits[a] @ traces[0] @ digits[b] and tr(b * k^2) is
+        digits[k] @ (digits[b] @ traces) @ digits[k], both mod p.
+
+        Built from the coefficients of x^0 .. x^(4n-4), each reduced by the
+        monic modulus.  tr(x^k) is the trace of "multiply by x^k", which sends
+        x^i to x^(i+k): the sum over i of coefficient i of x^(i+k)."""
+        p, n, mod = self.p, self.n, self.modulus
+        digits = np.arange(self.d)[:, None] // np.array([p ** i for i in range(n)])
+        digits %= p
+        powers = [[1] + [0] * (n - 1)]
+        for _ in range(4 * n - 4):                # x^(k+1) = x * x^k, less top * modulus
+            top = powers[-1][-1]
+            powers.append([(c - top * m) % p for c, m in zip([0] + powers[-1][:-1], mod)])
+        tr = [sum(powers[i + k][i] for i in range(n)) % p for k in range(3 * n - 2)]
+        traces = np.array([[tr[l + i:l + i + n] for i in range(n)] for l in range(n)])
+        for t in (digits, traces):
+            t.setflags(write=False)
+        return digits, traces
+
     def __getstate__(self) -> dict:
-        """The fields alone: a pickle or copy leaves digit_tables out, to be
-        built again on use (a memoryview cannot be pickled)."""
-        return {k: v for k, v in self.__dict__.items() if k != "digit_tables"}
+        """The fields p, n and modulus alone: a pickle or copy leaves both
+        tables out, to be built again on use."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def check_index(self, k, what: str = "element index", top: int | None = None) -> int:
         """k as a plain int, or ValueError naming it as `what` unless it lies in
@@ -348,31 +374,6 @@ class GfElem:
 # ---------------------------------------------------------------------------
 # Arithmetic on canonical element indices.
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def index_arrays(spec: FieldSpec):
-    """Read-only (digits, traces): the n base-p digits of each index, a
-    (d, n) array, and the n x n x n trace tensor traces[l, i, j] =
-    tr(x^(l+i+j)).  tr is linear, so tr(a * b) is digits[a] @ traces[0] @
-    digits[b] and tr(b * k^2) is digits[k] @ (digits[b] @ traces) @ digits[k],
-    both mod p.
-
-    Built from the coefficients of x^0 .. x^(4n-4), each reduced by the
-    monic modulus.  tr(x^k) is the trace of "multiply by x^k", which sends
-    x^i to x^(i+k): the sum over i of coefficient i of x^(i+k)."""
-    p, n, mod = spec.p, spec.n, spec.modulus
-    digits = np.arange(spec.d)[:, None] // np.array([p ** i for i in range(n)])
-    digits %= p
-    powers = [[1] + [0] * (n - 1)]
-    for _ in range(4 * n - 4):                # x^(k+1) = x * x^k, less top * modulus
-        top = powers[-1][-1]
-        powers.append([(c - top * m) % p for c, m in zip([0] + powers[-1][:-1], mod)])
-    tr = [sum(powers[i + k][i] for i in range(n)) % p for k in range(3 * n - 2)]
-    traces = np.array([[tr[l + i:l + i + n] for i in range(n)] for l in range(n)])
-    for t in (digits, traces):
-        t.setflags(write=False)
-    return digits, traces
-
 
 def chunkwise(q: int, table, a: int, b: int) -> int:
     """Index whose base-q chunks are table[x * q + y], for x and y the chunks of a and b.

@@ -74,7 +74,7 @@ def born_sample(state, basis, rng) -> tuple[int, np.ndarray]:
     if mat.shape != (d, d):
         raise ValueError(f"basis must be d={d} orthonormal vectors of dimension {d}")
     gram = mat.conj() @ mat.T
-    if float(np.max(np.abs(gram - np.eye(d)))) > BASIS_TOL:
+    if not float(np.max(np.abs(gram - np.eye(d)))) <= BASIS_TOL:   # NaN fails too
         raise ValueError("basis is not orthonormal")
     amps = mat.conj() @ state
     k = sample_index(np.abs(amps) ** 2, rng)
@@ -100,7 +100,7 @@ def apply_diag_phase(state, phases) -> np.ndarray:
     phases = np.asarray(phases, dtype=complex)
     if phases.shape != state.shape:
         raise ValueError("phase vector must match the state dimension")
-    if float(np.max(np.abs(np.abs(phases) - 1.0))) > NORM_TOL:
+    if not float(np.max(np.abs(np.abs(phases) - 1.0))) <= NORM_TOL:   # NaN fails too
         raise ValueError("phases must be unimodular")
     return phases * state
 

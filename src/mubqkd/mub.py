@@ -5,36 +5,42 @@ quadratic-phase basis whose state c carries amplitude
 omega^tr(b*n^2 + c*n) / sqrt(d) at position n, with omega = exp(2*pi*i/p)
 and b, c, n element indices; the trace is additive, so the exponent is
 tr(b*n^2) + tr(c*n) mod p, a quadratic and a linear form in the digits of
-n read off the field's trace tensor; exponents is that one integer rule.  Index d
+n read off spec.index_arrays; exponents is that one integer rule.  Index d
 is the computational basis, whose state c sits at position c; it completes
 the set to the maximal count of d+1.  A state is built alone, in O(d * n^2).
-Basis matrices are cached per (field, basis index) for the callers that
-measure in whole bases again and again: joint_c_measure, the dense reference
-round (through measure_first) and the unbiasedness audit.
+Basis matrices are cached per (field, basis index), the one process-wide
+cache, for the callers that measure in whole bases: joint_c_measure, the
+dense reference round (through measure_first) and the unbiasedness audit.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .gf import FieldSpec, index_arrays
+from .gf import FieldSpec
 from .hilbert import basis_state
 
 
 def exponents(spec: FieldSpec, basis: int, c) -> np.ndarray:
-    """tr(b*n^2 + c*n) mod p for b = basis at each position n: a d-vector
-    for an index c, one row per entry of an index array c.
+    """tr(b*n^2 + c*n) mod p for b = basis at each position n, from the
+    field's own spec.index_arrays: a d-vector for an index c, one row per
+    entry of an index array c.
 
-    basis must be a quadratic basis index in [0, d), and c must lie in [0, d)."""
+    basis must be a quadratic basis index in [0, d), and c must lie in
+    [0, d); a scalar c goes through operator.index, and an array c of a
+    float or bool dtype is a TypeError."""
     basis = spec.check_index(basis, "quadratic basis index")
-    c = np.asarray(c)
+    c = np.asarray(c) if np.ndim(c) else np.asarray(operator.index(c))
+    if c.dtype.kind not in "iu":
+        raise TypeError(f"state indices must be integers, got dtype {c.dtype}")
     bad = c[(c < 0) | (c >= spec.d)]
     if bad.size:
         raise ValueError(f"state index {bad[0]} outside [0, {spec.d})")
-    digits, traces = index_arrays(spec)
+    digits, traces = spec.index_arrays
     expo = digits[c] @ traces[0] @ digits.T      # row c, column n: tr(c * n)
     if basis:                                    # tr(b * n^2), zero at b = 0
         expo = expo + (digits @ (digits[basis] @ traces) * digits).sum(axis=1)
@@ -52,7 +58,7 @@ def _quadratic_rows(spec: FieldSpec, basis: int, c) -> np.ndarray:
 def basis_matrix(spec: FieldSpec, basis: int) -> np.ndarray:
     """Read-only (d, d) matrix whose row c is the state (basis, c)."""
     d = spec.d
-    spec.check_index(basis, "basis index", d + 1)
+    basis = spec.check_index(basis, "basis index", d + 1)
     mat = np.eye(d, dtype=complex) if basis == d else _quadratic_rows(spec, basis, np.arange(d))
     mat.setflags(write=False)
     return mat
@@ -60,8 +66,8 @@ def basis_matrix(spec: FieldSpec, basis: int) -> np.ndarray:
 
 def mub_state(spec: FieldSpec, basis: int, c: int) -> np.ndarray:
     """Normalized amplitude vector of the state labeled (basis, c), built alone."""
-    spec.check_index(basis, "basis index", spec.d + 1)
-    spec.check_index(c, "state index")
+    basis = spec.check_index(basis, "basis index", spec.d + 1)
+    c = spec.check_index(c, "state index")
     return basis_state(spec.d, c) if basis == spec.d else _quadratic_rows(spec, basis, c)
 
 

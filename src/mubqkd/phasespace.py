@@ -41,10 +41,15 @@ SUPPORT_TOL = 1e-10
 @dataclass(frozen=True)
 class CvLabel:
     """Real basis/state coordinates, and the phase-space line p = b*q + c;
-    b = +inf marks the computational family, the vertical line q = c."""
+    b = +inf marks the computational family, the vertical line q = c.  A NaN
+    coordinate is a ValueError."""
 
     b: float
     c: float
+
+    def __post_init__(self):
+        if math.isnan(self.b) or math.isnan(self.c):
+            raise ValueError(f"label coordinates must not be NaN, got ({self.b}, {self.c})")
 
 
 def cv_split(label: CvLabel, b1: float, c1: float) -> CvLabel:

@@ -1,8 +1,11 @@
 """Field arithmetic: worked examples plus algebraic property checks."""
 
+import copy
 import dataclasses
+import gc
 import itertools
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -10,8 +13,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mubqkd import gf
-from mubqkd.gf import (FieldSpec, GfElem, find_irreducible, index_add, index_arrays, index_neg,
-                       index_sub, is_irreducible, is_prime)
+from mubqkd.gf import (FieldSpec, GfElem, find_irreducible, index_add, index_neg, index_sub,
+                       is_irreducible, is_prime)
+from mubqkd.mub import mub_state
 
 GF3 = FieldSpec(3, 1)
 GF5 = FieldSpec(5, 1)
@@ -88,6 +92,14 @@ def test_large_prime_field_needs_no_candidate_table():
 
 def test_is_prime():
     assert [m for m in range(20) if is_prime(m)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+@pytest.mark.parametrize("call", [lambda: is_prime(2.5), lambda: is_prime(3.5),
+                                  lambda: is_prime(7.0), lambda: is_irreducible((1, 1), 3.5)],
+                         ids=["2.5", "3.5", "7.0", "is_irreducible-3.5"])
+def test_is_prime_refuses_non_integers(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 @pytest.mark.parametrize("call, message", [
@@ -297,7 +309,7 @@ def test_from_config_null_takes_the_default():
 
 @pytest.mark.parametrize("spec", [GF3, GF9, FieldSpec(3, 2, (2, 1, 1)), GF25, GF27, GF7])
 def test_trace_form_matches_element_arithmetic(spec):
-    digits, traces = index_arrays(spec)
+    digits, traces = spec.index_arrays
     elems = spec.elements()
     assert [spec.element(row) for row in digits] == elems
     tr = digits @ traces[0] @ digits.T % spec.p
@@ -332,7 +344,7 @@ FORM_SPECS = ([s for p, n in [(3, 2), (3, 3), (3, 4), (5, 2), (7, 2)] for s in _
 
 @pytest.mark.parametrize("spec", FORM_SPECS, ids=lambda s: f"{s.p}^{s.n}-{''.join(map(str, s.modulus))}")
 def test_index_arrays_match_element_reference(spec):
-    got, want = index_arrays(spec), _reference_index_arrays(spec)
+    got, want = spec.index_arrays, _reference_index_arrays(spec)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype == np.int64 and g.shape == w.shape
         assert np.array_equal(g, w)
@@ -352,7 +364,7 @@ def test_index_arrays_build_no_elements(monkeypatch):
         raise AssertionError("a GfElem was built")
 
     monkeypatch.setattr(GfElem, "__post_init__", refuse)
-    got = index_arrays.__wrapped__(spec)
+    got = FieldSpec.index_arrays.func(spec)
     monkeypatch.undo()
     assert all(np.array_equal(g, w) for g, w in zip(got, _reference_index_arrays(spec)))
 
@@ -370,14 +382,40 @@ def test_index_arrays_peak_within_a_quarter_of_the_digits():
     """A cold build holds the digits, the d indices they come from and an
     n x n x n tensor: at n = 10, 1.1 times the digits alone."""
     spec = FieldSpec(3, 10)
-    digits, _ = index_arrays(spec)
-    assert _traced_peak(index_arrays.__wrapped__, spec) <= 1.25 * digits.nbytes
+    digits, _ = spec.index_arrays
+    assert _traced_peak(FieldSpec.index_arrays.func, spec) <= 1.25 * digits.nbytes
+
+
+def test_field_tables_are_freed_with_the_field():
+    """Both tables live on their spec: dropping a 3^10 spec after a state
+    and a sum gives back its 4.5 MiB of digits."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        spec = FieldSpec(3, 10)
+        mub_state(spec, 5, 7)
+        index_add(spec, 5, 7)
+        assert {"digit_tables", "index_arrays"} <= vars(spec).keys()
+        del spec
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] - start <= 0.5 * 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_pickle_and_copy_keep_only_the_fields():
+    spec = FieldSpec(3, 4)
+    spec.digit_tables, spec.index_arrays
+    for twin in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
+        assert vars(twin).keys() == {"p", "n", "modulus"}
+        assert twin == spec and hash(twin) == hash(spec)
+        assert np.array_equal(twin.index_arrays[0], spec.index_arrays[0])
 
 
 def test_field_arrays_are_o_d_n():
     spec = FieldSpec(3, 6)
     d, n = spec.d, spec.n
-    arrays = index_arrays(spec)
+    arrays = spec.index_arrays
     assert [a.shape for a in arrays] == [(d, n), (n, n, n)]
     assert sum(a.nbytes for a in arrays) <= 8 * (d * n + n ** 3)
     assert not any(a.flags.writeable for a in arrays)

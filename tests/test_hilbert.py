@@ -238,3 +238,13 @@ def test_swap_test_rejects_unnormalized():
 def test_malformed_input_is_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call(np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda rng: apply_diag_phase(np.ones(3), [1, 1, np.nan]), "phases must be unimodular"),
+    (lambda rng: born_sample(basis_state(3, 0), np.diag([1, 1, np.nan]), rng),
+     "basis is not orthonormal"),
+], ids=["apply_diag_phase-nan-phase", "born_sample-nan-basis"])
+def test_nan_fails_the_tolerance_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(np.random.default_rng(0))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mubqkd.entangle import entangled_mub, exponent_additivity_check, joint_c_measure
 from mubqkd.gf import FieldSpec
 from mubqkd.mub import basis_matrix, exponents, mub_state, unbiasedness_report
 
@@ -130,3 +131,34 @@ def test_basis_matrix_equals_trace_of_element_arithmetic(spec):
 def test_exponents_refuse_labels_outside_the_field(basis, c, message):
     with pytest.raises(ValueError, match=message):
         exponents(GF9, basis, c)
+
+
+@pytest.mark.parametrize("call, twin", [
+    (lambda: mub_state(GF3, 3, True), lambda: mub_state(GF3, 3, 1)),
+    (lambda: mub_state(GF3, 1, True), lambda: mub_state(GF3, 1, 1)),
+    (lambda: mub_state(GF3, True, 2), lambda: mub_state(GF3, 1, 2)),
+    (lambda: basis_matrix(GF5, True), lambda: basis_matrix(GF5, 1)),
+    (lambda: entangled_mub(GF3, 1, True), lambda: entangled_mub(GF3, 1, 1)),
+    (lambda: entangled_mub(GF3, True, 0), lambda: entangled_mub(GF3, 1, 0)),
+    (lambda: joint_c_measure(GF3, entangled_mub(GF3, 1, 2), True, np.random.default_rng(0))[1],
+     lambda: joint_c_measure(GF3, entangled_mub(GF3, 1, 2), 1, np.random.default_rng(0))[1]),
+    (lambda: exponent_additivity_check(GF9, True, 2, True, 3),
+     lambda: exponent_additivity_check(GF9, 1, 2, 1, 3)),
+    (lambda: exponents(GF9, 0, True), lambda: exponents(GF9, 0, 1)),
+    (lambda: exponents(GF9, True, np.int64(4)), lambda: exponents(GF9, 1, 4)),
+], ids=["mub_state-computational-c", "mub_state-quadratic-c", "mub_state-basis",
+        "basis_matrix-basis", "entangled_mub-c", "entangled_mub-b", "joint_c_measure-b",
+        "exponent_additivity-b", "exponents-c", "exponents-basis"])
+def test_a_true_label_acts_as_one(call, twin):
+    got, want = call(), twin()
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("c", [1.5, np.float64(2.0), np.array([1.0, 2.0]), np.array([True, False]),
+                               [0.0], [True]],
+                         ids=["float", "numpy-float", "float-array", "bool-array", "float-list",
+                              "bool-list"])
+def test_exponents_refuse_non_integer_state_indices(c):
+    with pytest.raises(TypeError):
+        exponents(GF9, 0, c)

@@ -99,6 +99,13 @@ def test_intersect_vertical_cases():
     assert cv_intersect(CvLabel(math.inf, 2.0), CvLabel(math.inf, 2.0)).kind == "degenerate"
 
 
+@pytest.mark.parametrize("b, c", [(math.nan, 0.0), (1.0, math.nan), (math.nan, math.nan)],
+                         ids=["nan-b", "nan-c", "nan-both"])
+def test_cv_label_refuses_nan(b, c):
+    with pytest.raises(ValueError, match="must not be NaN"):
+        CvLabel(b, c)
+
+
 def test_intersect_trichotomy_random():
     rng = np.random.default_rng(9)
     grid = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, math.inf]
