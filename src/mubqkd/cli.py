@@ -113,8 +113,7 @@ def _verify_report(spec: FieldSpec, samples: int, seed: int) -> dict:
         shift_dev = max(shift_dev, float(np.max(np.abs(shifted - target))))
 
     epr = entangled_mub(spec, 0, 0)
-    epr_target = np.zeros(d * d, dtype=complex)
-    epr_target[np.arange(d) * (d + 1)] = 1.0 / root_d
+    epr_target = np.diagflat(np.full(d, 1.0 / root_d)).ravel()
     epr_dev = float(np.max(np.abs(epr - epr_target)))
 
     additivity = all(exponent_additivity_check(spec, *labels)
@@ -172,8 +171,8 @@ def cmd_verify(args) -> int:
 def _emit(header: str, rows, path):
     """Write the header, then each row as it arrives, to path or stdout; an
     OSError from opening, writing or closing path names --out."""
-    with _flag("--out") if path else contextlib.nullcontext(), \
-            open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+    with _flag("--out") if path is not None else contextlib.nullcontext(), \
+            open(path, "w") if path is not None else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(row + "\n")
@@ -244,7 +243,7 @@ def _parse_eve(text: str) -> dict:
 
 def _session_doc(args):
     """The config document of --config, or of the session flags."""
-    if args.config:
+    if args.config is not None:
         given = [f"--{name.replace('_', '-')}" for name in _SESSION_FLAGS
                  if getattr(args, name) is not None]
         if given:

@@ -8,6 +8,8 @@ the sessions' stream.Draws), so every run is reproducible from its seed.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 NORM_TOL = 1e-12
@@ -22,6 +24,9 @@ def as_state(x) -> np.ndarray:
 
 
 def basis_state(dim: int, k: int) -> np.ndarray:
+    """Unit vector e_k of C^dim; k goes through operator.index, so True acts
+    as 1 and a float is a TypeError."""
+    k = operator.index(k)
     if not 0 <= k < dim:
         raise ValueError(f"state index {k} outside [0, {dim})")
     e = np.zeros(dim, dtype=complex)
@@ -51,8 +56,10 @@ def sample_index(weights: np.ndarray, rng) -> int:
     """Draw an index with probability proportional to the non-negative
     weights, using one uniform variate.
 
-    ValueError if the weights sum to zero or to a non-finite value: the
-    Born weights of a zero or non-finite state."""
+    ValueError if a weight is negative, or if the weights sum to zero or to
+    a non-finite value: the Born weights of a zero or non-finite state."""
+    if (weights < 0).any():
+        raise ValueError(f"Born weights must be non-negative, got {weights[weights < 0][0]}")
     total = weights.sum()
     if not (np.isfinite(total) and total > 0):
         raise ValueError(f"Born weights sum to {total}; the state has no finite nonzero norm")

@@ -5,9 +5,11 @@ quadratic-phase basis whose state c carries amplitude
 omega^tr(b*n^2 + c*n) / sqrt(d) at position n, with omega = exp(2*pi*i/p)
 and b, c, n element indices; the trace is additive, so the exponent is
 tr(b*n^2) + tr(c*n) mod p, a quadratic and a linear form in the digits of
-n read off spec.index_arrays; exponents is that one integer rule.  Index d
-is the computational basis, whose state c sits at position c; it completes
-the set to the maximal count of d+1.  A state is built alone, in O(d * n^2).
+n read off spec.index_arrays; exponents is that one integer rule, and
+phases, which reads omega^k from the table of the p powers of omega, is the
+one phase rule.  Index d is the computational basis, whose state c sits at
+position c; it completes the set to the maximal count of d+1.  A state is
+built alone, in O(d * n^2).
 Basis matrices are cached per (field, basis index), the one process-wide
 cache, for the callers that measure in whole bases: joint_c_measure, the
 dense reference round (through measure_first) and the unbiasedness audit.
@@ -47,11 +49,10 @@ def exponents(spec: FieldSpec, basis: int, c) -> np.ndarray:
     return expo % spec.p
 
 
-def _quadratic_rows(spec: FieldSpec, basis: int, c) -> np.ndarray:
-    """Row c of quadratic basis `basis`, or one row per entry of an index array c."""
-    # the p phases, each computed as the whole row would compute it
-    phases = np.exp(2j * np.pi * np.arange(spec.p) / spec.p) / np.sqrt(spec.d)
-    return phases[exponents(spec, basis, c)]
+def phases(spec: FieldSpec, expo) -> np.ndarray:
+    """omega^expo for an exponent or exponent array in [0, p), read from the
+    table of the p powers of omega = exp(2*pi*i/p): the one phase rule."""
+    return np.exp(2j * np.pi * np.arange(spec.p) / spec.p)[expo]
 
 
 @lru_cache(maxsize=None)
@@ -59,7 +60,8 @@ def basis_matrix(spec: FieldSpec, basis: int) -> np.ndarray:
     """Read-only (d, d) matrix whose row c is the state (basis, c)."""
     d = spec.d
     basis = spec.check_index(basis, "basis index", d + 1)
-    mat = np.eye(d, dtype=complex) if basis == d else _quadratic_rows(spec, basis, np.arange(d))
+    mat = (np.eye(d, dtype=complex) if basis == d
+           else phases(spec, exponents(spec, basis, np.arange(d))) / np.sqrt(d))
     mat.setflags(write=False)
     return mat
 
@@ -68,7 +70,8 @@ def mub_state(spec: FieldSpec, basis: int, c: int) -> np.ndarray:
     """Normalized amplitude vector of the state labeled (basis, c), built alone."""
     basis = spec.check_index(basis, "basis index", spec.d + 1)
     c = spec.check_index(c, "state index")
-    return basis_state(spec.d, c) if basis == spec.d else _quadratic_rows(spec, basis, c)
+    return (basis_state(spec.d, c) if basis == spec.d
+            else phases(spec, exponents(spec, basis, c)) / np.sqrt(spec.d))
 
 
 @dataclass(frozen=True)

@@ -63,10 +63,14 @@ def cv_shift(label: CvLabel, lam: float) -> CvLabel:
     return CvLabel(label.b, label.c + lam)
 
 
+def _parallel(l1: CvLabel, l2: CvLabel) -> bool:
+    """One slope: both lines vertical, or their slopes b within EQ_TOL."""
+    return (math.isinf(l1.b) and math.isinf(l2.b)) or abs(l1.b - l2.b) < EQ_TOL
+
+
 def cv_equal_delta(l1: CvLabel, l2: CvLabel) -> bool:
     """Same-basis delta correlation: true iff the intercepts agree within EQ_TOL."""
-    same_b = (math.isinf(l1.b) and math.isinf(l2.b)) or abs(l1.b - l2.b) < EQ_TOL
-    if not same_b:
+    if not _parallel(l1, l2):
         raise ValueError("labels compare within one basis only")
     return abs(l1.c - l2.c) < EQ_TOL
 
@@ -80,19 +84,11 @@ class LineIntersection:
 def cv_intersect(l1: CvLabel, l2: CvLabel) -> LineIntersection:
     """Lines of distinct slopes b meet once; equal slopes never, unless the
     lines coincide."""
-    v1, v2 = not math.isfinite(l1.b), not math.isfinite(l2.b)
-    if v1 and v2:
-        if abs(l1.c - l2.c) < EQ_TOL:
-            return LineIntersection("degenerate")
-        return LineIntersection("none")
-    if v1 or v2:
-        vert, line = (l1, l2) if v1 else (l2, l1)
-        q = vert.c
-        return LineIntersection("point", (q, line.b * q + line.c))
-    if abs(l1.b - l2.b) < EQ_TOL:
-        if abs(l1.c - l2.c) < EQ_TOL:
-            return LineIntersection("degenerate")
-        return LineIntersection("none")
+    if _parallel(l1, l2):
+        return LineIntersection("degenerate" if abs(l1.c - l2.c) < EQ_TOL else "none")
+    if math.isinf(l1.b) or math.isinf(l2.b):
+        vert, line = (l1, l2) if math.isinf(l1.b) else (l2, l1)
+        return LineIntersection("point", (vert.c, line.b * vert.c + line.c))
     q = (l2.c - l1.c) / (l1.b - l2.b)
     return LineIntersection("point", (q, l1.b * q + l1.c))
 

@@ -213,7 +213,10 @@ class Draws:
     def outcome(self, d: int) -> int:
         """A uniform outcome in range(d): floor(m*d / 2**53) for the variate
         m * 2**-53 that random() would return, in integers, so each outcome
-        takes floor or ceil of 2**53/d of the variates and no table is kept."""
+        takes floor or ceil of 2**53/d of the variates and no table is kept.
+        ValueError unless d >= 1."""
+        if d < 1:
+            raise ValueError(f"d must be at least 1, got {d}")
         words = self.words
         w = words.pop() if words else self.refill()
         return (w >> 11) * d >> 53

@@ -389,10 +389,15 @@ def test_refused_session_truncates_nothing(tmp_path, capsys, kept, before):
     (["session", "--p", "3", "--rounds", "5", "--stats", "nodir/s.json"], "--stats", "nodir/s.json"),
     (["bases", "--p", "3", "--out", "nodir/b.csv"], "--out", "nodir/b.csv"),
     (["wigner", "--p", "3", "--b", "1", "--c", "2", "--out", "nodir/w.csv"], "--out", "nodir/w.csv"),
-], ids=["session-config", "session-out", "session-stats", "bases-out", "wigner-out"])
+    (["session", "--config", "", "--no-transcript", "--stats", os.devnull], "--config", ""),
+    (["session", "--p", "3", "--rounds", "5", "--out", ""], "--out", ""),
+    (["bases", "--p", "3", "--out", ""], "--out", ""),
+    (["wigner", "--p", "3", "--b", "1", "--c", "0", "--out", ""], "--out", ""),
+], ids=["session-config", "session-out", "session-stats", "bases-out", "wigner-out",
+        "session-config-empty", "session-out-empty", "bases-out-empty", "wigner-out-empty"])
 def test_path_errors_name_their_flag(tmp_path, capsys, monkeypatch, argv, flag, path):
-    """A path that cannot be opened exits 2 with an error that starts with
-    its flag, and leaves no file behind."""
+    """A path that cannot be opened, the empty path among them, exits 2 with
+    an error that starts with its flag, and leaves no file behind."""
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {flag}: [Errno 2] No such file or directory: '{path}'\n"

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mubqkd.gf import FieldSpec
 from mubqkd.hilbert import (apply_diag_phase, as_state, basis_state, born_sample, inner,
-                            project_first, swap_test, tensor)
+                            project_first, sample_index, swap_test, tensor)
 from mubqkd.mub import basis_matrix, mub_state
 from mubqkd.entangle import entangled_mub, exponent_additivity_check, joint_c_measure, measure_first
 from mubqkd.phasespace import dwigner2_support, run_cv_round
@@ -227,6 +227,9 @@ def test_swap_test_rejects_unnormalized():
     (lambda rng: measure_first(GF3, [1, 0, 0], 0, rng), r"state has shape \(3,\)"),
     (lambda rng: measure_first(GF3, np.ones(3), 0, rng), r"state has shape \(3,\)"),
     (lambda rng: entangled_mub(GF3, 5, 0), r"pair basis index 5 outside \[0, 3\)"),
+    (lambda rng: sample_index(np.array([-1, 2]), rng), "Born weights must be non-negative"),
+    (lambda rng: sample_index(np.array([1, -1, 1]), rng), "Born weights must be non-negative"),
+    (lambda rng: sample_index(np.array([2, -1]), rng), "Born weights must be non-negative"),
 ], ids=["as_state-ndim", "born_sample-basis-shape", "apply_diag_phase-shape",
         "swap_test-dims", "joint_c_measure-shape", "dwigner2_support-non-square",
         "GfElem-pow-negative", "born_sample-zero-state", "born_sample-nan-state",
@@ -234,7 +237,8 @@ def test_swap_test_rejects_unnormalized():
         "joint_c_measure-nan-state", "exponent_additivity-computational-b1",
         "exponent_additivity-computational-b2", "basis_state-negative", "basis_state-dim",
         "run_cv_round-bit", "measure_first-list", "measure_first-shape",
-        "entangled_mub-basis-above-d"])
+        "entangled_mub-basis-above-d", "sample_index-negative-first",
+        "sample_index-negative-middle", "sample_index-negative-last"])
 def test_malformed_input_is_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call(np.random.default_rng(0))
@@ -248,3 +252,8 @@ def test_malformed_input_is_refused(call, message):
 def test_nan_fails_the_tolerance_checks(call, message):
     with pytest.raises(ValueError, match=message):
         call(np.random.default_rng(0))
+
+
+def test_basis_state_refuses_a_float_index():
+    with pytest.raises(TypeError):
+        basis_state(3, 1.5)

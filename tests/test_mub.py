@@ -5,6 +5,7 @@ import pytest
 
 from mubqkd.entangle import entangled_mub, exponent_additivity_check, joint_c_measure
 from mubqkd.gf import FieldSpec
+from mubqkd.hilbert import basis_state
 from mubqkd.mub import basis_matrix, exponents, mub_state, unbiasedness_report
 
 GF3 = FieldSpec(3, 1)
@@ -146,9 +147,10 @@ def test_exponents_refuse_labels_outside_the_field(basis, c, message):
      lambda: exponent_additivity_check(GF9, 1, 2, 1, 3)),
     (lambda: exponents(GF9, 0, True), lambda: exponents(GF9, 0, 1)),
     (lambda: exponents(GF9, True, np.int64(4)), lambda: exponents(GF9, 1, 4)),
+    (lambda: basis_state(3, True), lambda: basis_state(3, 1)),
 ], ids=["mub_state-computational-c", "mub_state-quadratic-c", "mub_state-basis",
         "basis_matrix-basis", "entangled_mub-c", "entangled_mub-b", "joint_c_measure-b",
-        "exponent_additivity-b", "exponents-c", "exponents-basis"])
+        "exponent_additivity-b", "exponents-c", "exponents-basis", "basis_state-k"])
 def test_a_true_label_acts_as_one(call, twin):
     got, want = call(), twin()
     assert np.shape(got) == np.shape(want)

@@ -100,6 +100,12 @@ def test_outcome_takes_the_word_random_takes():
     assert pending > 0
 
 
+@pytest.mark.parametrize("d", [0, -3])
+def test_outcome_refuses_d_below_one(d):
+    with pytest.raises(ValueError, match="d must be at least 1"):
+        Draws(0).outcome(d)
+
+
 def _pops(draws, k):
     return [draws.words.pop() if draws.words else draws.refill() for _ in range(k)]
 
