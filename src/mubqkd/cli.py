@@ -125,7 +125,7 @@ def _verify_report(spec: FieldSpec, samples: int, seed: int) -> dict:
         c = int(rng.integers(d))
         out1, post1 = joint_c_measure(spec, entangled_mub(spec, b, c), b, rng)
         out2, post2 = joint_c_measure(spec, post1, b, rng)
-        if out1 != c or out2 != out1 or float(np.max(np.abs(post2 - post1))) > 1e-12:
+        if out1 != c or out2 != out1 or not float(np.max(np.abs(post2 - post1))) < VERIFY_TOL:
             repeatable = False
 
     report = {

@@ -83,11 +83,9 @@ def joint_c_measure(spec: FieldSpec, state, b: int, rng) -> tuple[int | None, np
 
 
 def exponent_additivity_check(spec: FieldSpec, b1: int, c1: int, b2: int, c2: int) -> bool:
-    """Phase factors of (b1+b2, c1+c2) equal the product of the two factors
-    at every position n, each read from mub.phases.  b1 and b2 must be pair
-    basis indices in [0, d), c1 and c2 state indices."""
+    """The exponents of (b1+b2, c1+c2) equal the sum mod p of those of
+    (b1, c1) and (b2, c2) at every position n: exact integer equality.
+    b1 and b2 must be pair basis indices in [0, d), c1 and c2 state indices."""
     b1, b2 = (spec.check_index(b, "pair basis index") for b in (b1, b2))
-    f1 = phases(spec, exponents(spec, b1, c1))
-    f2 = phases(spec, exponents(spec, b2, c2))
-    fsum = phases(spec, exponents(spec, index_add(spec, b1, b2), index_add(spec, c1, c2)))
-    return float(np.max(np.abs(fsum - f1 * f2))) < 1e-12
+    esum = (exponents(spec, b1, c1) + exponents(spec, b2, c2)) % spec.p
+    return np.array_equal(exponents(spec, index_add(spec, b1, b2), index_add(spec, c1, c2)), esum)

@@ -10,7 +10,7 @@ phases, which reads omega^k from the table of the p powers of omega, is the
 one phase rule.  Index d is the computational basis, whose state c sits at
 position c; it completes the set to the maximal count of d+1.  A state is
 built alone, in O(d * n^2).
-Basis matrices are cached per (field, basis index), the one process-wide
+Basis matrices are cached per (field, checked basis index), the process-wide
 cache, for the callers that measure in whole bases: joint_c_measure, the
 dense reference round (through measure_first) and the unbiasedness audit.
 """
@@ -55,9 +55,10 @@ def phases(spec: FieldSpec, expo) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(spec.p) / spec.p)[expo]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def basis_matrix(spec: FieldSpec, basis: int) -> np.ndarray:
-    """Read-only (d, d) matrix whose row c is the state (basis, c)."""
+    """Read-only (d, d) matrix whose row c is the state (basis, c); typed
+    keys, so 1.0 never answers from 1's entry and every key is checked."""
     d = spec.d
     basis = spec.check_index(basis, "basis index", d + 1)
     mat = (np.eye(d, dtype=complex) if basis == d

@@ -23,6 +23,7 @@ on c (established numerically, not assumed).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,8 +103,9 @@ def run_cv_round(bit: int, rng, b: float | None = None, c: float | None = None,
     draws them from rng.random(), so rng may be a Generator or a Draws.  The
     label algebra reproduces the same-basis delta correlation: the shifted
     second label matches the first exactly when lambda equals c1' - c1 + delta.
-    bit must be 0 or 1.
+    bit must be an integer, 0 or 1, taken through operator.index.
     """
+    bit = operator.index(bit)
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
     def uniform() -> float:

@@ -137,15 +137,15 @@ class Draws:
     unread, in O(log k) (Brown's LCG jump-ahead, Trans. Am. Nucl. Soc. 71,
     1994).
 
-    random() is numpy's next_double, (w >> 11) * 2**-53, and outcome(d) the
-    uniform outcome of d from the same word.  integers(high) is numpy's
-    bounded 32-bit draw (Lemire, arXiv:1805.10941): x * high for a 32-bit x,
-    drawn again while the low 32 bits of the product fall below 2**32 mod
-    high, the high 32 bits being the result.  Like PCG64, a 32-bit draw takes
-    the low half of a fresh word and keeps the high half for the next 32-bit
-    draw; random(), outcome() and skip() leave that half alone.  integers()
-    takes its 32-bit halves in its own body, with no helper call, since
-    draws are the largest share of a round's cost.
+    random() is numpy's next_double, (w >> 11) * 2**-53, and outcome(d), for
+    any integer d, the uniform outcome of d from random()'s variate.
+    integers(high) is numpy's bounded 32-bit draw (Lemire, arXiv:1805.10941):
+    x * high for a 32-bit x, drawn again while the low 32 bits of the product
+    fall below 2**32 mod high, the high 32 bits being the result.  Like PCG64,
+    a 32-bit draw takes the low half of a fresh word and keeps the high half
+    for the next 32-bit draw; random(), outcome() and skip() leave that half
+    alone.  integers() takes its 32-bit halves in its own body, with no helper
+    call, since draws are the largest share of a round's cost.
 
     seed is a non-negative int: ValueError for a negative one, as numpy's
     SeedSequence raises, and TypeError for anything operator.index refuses.
@@ -212,14 +212,13 @@ class Draws:
 
     def outcome(self, d: int) -> int:
         """A uniform outcome in range(d): floor(m*d / 2**53) for the variate
-        m * 2**-53 that random() would return, in integers, so each outcome
-        takes floor or ceil of 2**53/d of the variates and no table is kept.
-        ValueError unless d >= 1."""
+        m * 2**-53 that random() returns, in integers, so each outcome takes
+        floor or ceil of 2**53/d of the variates and no table is kept.  d is
+        any integer operator.index accepts; ValueError unless d >= 1."""
+        d = operator.index(d)
         if d < 1:
             raise ValueError(f"d must be at least 1, got {d}")
-        words = self.words
-        w = words.pop() if words else self.refill()
-        return (w >> 11) * d >> 53
+        return int(self.random() * (1 << 53)) * d >> 53
 
     def integers(self, high: int) -> int:
         """Generator.integers(high) for 1 <= high <= 2**32; high 1 draws nothing."""

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -43,6 +45,19 @@ def test_verify_exits_1_when_an_invariant_fails(capsys, monkeypatch):
         return (outcome + 1) % spec.d, post
 
     monkeypatch.setattr(cli, "joint_c_measure", wrong_outcome)
+    assert main(["verify", "--p", "3"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False and report["joint_measure_repeatable"] is False
+
+
+def test_verify_exits_1_on_a_nan_post_state(capsys, monkeypatch):
+    calls = itertools.count()
+
+    def nan_repeat(spec, state, b, rng):
+        outcome, post = joint_c_measure(spec, state, b, rng)
+        return outcome, post if next(calls) % 2 == 0 else np.full_like(post, np.nan)
+
+    monkeypatch.setattr(cli, "joint_c_measure", nan_repeat)
     assert main(["verify", "--p", "3"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is False and report["joint_measure_repeatable"] is False

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from mubqkd import entangle
 from mubqkd.gf import FieldSpec
 from mubqkd.hilbert import basis_state, inner, project_first, tensor
 from mubqkd.mub import basis_matrix, mub_state
@@ -216,3 +217,12 @@ def test_exponent_additivity_random_d9():
     for _ in range(100):
         i1, j1, i2, j2 = (int(k) for k in rng.integers(0, 9, 4))
         assert exponent_additivity_check(GF9, i1, j1, i2, j2)
+
+
+def test_exponent_additivity_compares_integers_without_phases(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the additivity check read a phase")
+
+    monkeypatch.setattr(entangle, "phases", unreachable)
+    for labels in itertools.product(range(GF9.d), repeat=4):
+        assert exponent_additivity_check(GF9, *labels) is True

@@ -438,6 +438,22 @@ TABLE_IDS = [f"{s.p}^{s.n}{'' if s.modulus == find_irreducible(s.p, s.n) else '-
              for s in TABLE_SPECS]
 
 
+@pytest.mark.parametrize("spec", [GF9, GF27], ids=["9", "27"])
+def test_elem_difference_is_index_sub(spec):
+    for a, b in itertools.product(spec.elements(), repeat=2):
+        assert (a - b).index == index_sub(spec, a.index, b.index)
+
+
+@pytest.mark.parametrize("spec", [GF3, GF9, GF27], ids=["3", "9", "27"])
+def test_elem_to_the_zero_is_one(spec):
+    for x in spec.elements():
+        assert x ** 0 == spec.one()
+
+
+def test_elem_repr_names_coefficients_and_field():
+    assert repr(GF9.element([1, 2])) == "GfElem([1, 2] in GF(3^2))"
+
+
 @pytest.mark.parametrize("spec", TABLE_SPECS, ids=TABLE_IDS)
 def test_index_arithmetic_matches_digitwise_reference(spec):
     d = spec.d

@@ -111,6 +111,17 @@ def test_basis_matrix_is_read_only():
         mat[0, 0] = 0.0
 
 
+def test_basis_matrix_refuses_a_float_label_cold_and_warm():
+    """The cache is typed, so 1.0 never answers from the entry of 1."""
+    spec = FieldSpec(3, 1)
+    basis_matrix.cache_clear()
+    with pytest.raises(TypeError):
+        basis_matrix(spec, 1.0)
+    basis_matrix(spec, 1)
+    with pytest.raises(TypeError):
+        basis_matrix(spec, 1.0)
+
+
 @pytest.mark.parametrize("spec", [GF3, GF9, FieldSpec(3, 2, (2, 1, 1)), FieldSpec(5, 2),
                                   FieldSpec(3, 3), FieldSpec(3, 3, (2, 2, 0, 1))])
 def test_basis_matrix_equals_trace_of_element_arithmetic(spec):

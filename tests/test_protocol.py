@@ -499,3 +499,10 @@ def test_cv_round_draws_uniform_through_random(seed):
     draws, gen = Draws(seed), np.random.default_rng(seed)
     assert ([run_cv_round(bit, draws, b, c, delta) for bit, b, c, delta in cases] ==
             [run_cv_round(bit, gen, b, c, delta) for bit, b, c, delta in cases])
+
+
+def test_cv_round_takes_its_bit_through_operator_index():
+    rec = run_cv_round(True, np.random.default_rng(0))
+    assert type(rec["bit_sent"]) is int and rec["bit_sent"] == rec["decoded"] == 1
+    with pytest.raises(TypeError):
+        run_cv_round(1.0, np.random.default_rng(0))

@@ -106,6 +106,14 @@ def test_outcome_refuses_d_below_one(d):
         Draws(0).outcome(d)
 
 
+@pytest.mark.parametrize("kind, d", [(np.int64, 7), (np.uint32, 7), (np.int64, 2 ** 40)],
+                         ids=["int64-7", "uint32-7", "int64-2**40"])
+def test_outcome_takes_a_numpy_integer_d_as_its_int(kind, d):
+    for seed in (0, 5, 2 ** 64):
+        got = Draws(seed).outcome(kind(d))
+        assert type(got) is int and got == Draws(seed).outcome(d), seed
+
+
 def _pops(draws, k):
     return [draws.words.pop() if draws.words else draws.refill() for _ in range(k)]
 
